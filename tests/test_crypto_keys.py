@@ -1,6 +1,7 @@
 """Tests for the Schnorr group, signatures, and station-to-station DH."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,9 @@ from repro.crypto import (
     generate_keypair,
     issue_certificate,
 )
+from repro.crypto.abe import _xor
+from repro.crypto.group import SchnorrGroup
+from repro.crypto.signatures import SigningKey, VerifyKey
 from repro.crypto.sts import ResponderReply
 
 
@@ -48,6 +52,121 @@ class TestSchnorrGroup:
         g = SCHNORR_GROUP
         assert (g.random_scalar(random.Random(1))
                 == g.random_scalar(random.Random(1)))
+
+    def test_non_safe_prime_group_refused(self):
+        """is_element's Jacobi test needs p = 2q + 1."""
+        with pytest.raises(ValueError):
+            SchnorrGroup(p=SCHNORR_GROUP.p, q=SCHNORR_GROUP.q - 1, g=4)
+        with pytest.raises(ValueError):
+            SchnorrGroup(p=29, q=7, g=4)  # 7 divides p - 1, but p != 2q + 1
+        assert SchnorrGroup(p=23, q=11, g=4).q == 11
+
+
+def _fermat_verify(vk, message, signature):
+    """Schnorr verification with the Fermat inverse and plain ``pow``."""
+    group = vk.group
+    e, s = signature
+    if not (0 <= e < group.q and 0 <= s < group.q):
+        return False
+    ye = pow(vk.y, e, group.p)
+    r = pow(group.g, s, group.p) * pow(ye, group.p - 2, group.p) % group.p
+    return group.hash_to_scalar(group.element_bytes(r), message) == e
+
+
+class TestFastPathsMatchPow:
+    """The table, Jacobi and cheap-inverse paths against plain ``pow``."""
+
+    def test_generate_boundaries(self):
+        g = SCHNORR_GROUP
+        for k in (0, 1, 255, 256, g.q - 1, g.q, g.q + 1, 1 << 511,
+                  (1 << 512) - 1, 1 << 512, -1):
+            assert g.generate(k) == pow(g.g, k, g.p), k
+
+    def test_generate_random_exponents(self):
+        g = SCHNORR_GROUP
+        rng = random.Random(20220822)
+        for _ in range(64):
+            k = rng.randrange(1 << 512)
+            assert g.generate(k) == pow(g.g, k, g.p)
+            k = rng.getrandbits(rng.randrange(1, 520))
+            assert g.generate(k) == pow(g.g, k, g.p)
+
+    def test_is_element_boundaries(self):
+        g = SCHNORR_GROUP
+        for x in (-1, 0, 1, 2, g.p - 1, g.p, g.p + 1):
+            assert g.is_element(x) == (0 < x < g.p
+                                       and pow(x, g.q, g.p) == 1), x
+
+    def test_is_element_residues_and_non_residues(self):
+        g = SCHNORR_GROUP
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(64):
+            residue = g.generate(g.random_scalar(rng))
+            # p = 3 mod 4, so -1 is a non-residue and p - x flips.
+            for x in (residue, g.p - residue, rng.randrange(1, g.p)):
+                expected = pow(x, g.q, g.p) == 1
+                assert g.is_element(x) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_small_safe_prime_group_exhaustive(self):
+        """Every element and exponent of p = 23, including the pow
+        fallback for exponents past the one-row table."""
+        g = SchnorrGroup(p=23, q=11, g=4)
+        for x in range(-3, 27):
+            assert g.is_element(x) == (0 < x < 23
+                                       and pow(x, 11, 23) == 1), x
+        for k in range(-3, 600):
+            assert g.generate(k) == pow(4, k, 23), k
+
+    def test_verify_matches_fermat_inverse(self):
+        g = SCHNORR_GROUP
+        sk, vk = generate_keypair(random.Random(5))
+        _, other = generate_keypair(random.Random(6))
+        e, s = sk.sign(b"message")
+        signatures = [
+            (e, s), ((e + 1) % g.q, s), (e, (s + 1) % g.q),
+            (0, s), (e, 0), (0, 0), (g.q - 1, g.q - 1),
+            (g.q, s), (e, g.q), (-1, s),
+        ]
+        keys = [vk, other, VerifyKey(0), VerifyKey(g.p), VerifyKey(1)]
+        outcomes = set()
+        for key in keys:
+            for message in (b"message", b"tampered"):
+                for signature in signatures:
+                    got = key.verify(message, signature)
+                    assert got == _fermat_verify(key, message, signature)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_share_field_inverse_matches_fermat(self):
+        rng = random.Random(3)
+        p = ShareField.prime
+        for a in [1, 2, p - 1, p + 1, -5] + [rng.randrange(1, p)
+                                            for _ in range(32)]:
+            assert ShareField.inv(a) == pow(a, p - 2, p)
+
+    def test_xor_matches_bytewise(self):
+        rng = random.Random(4)
+        for n, m in ((0, 0), (0, 5), (1, 1), (16, 16), (600, 600),
+                     (7, 3), (3, 7)):
+            data = bytes(rng.randrange(256) for _ in range(n))
+            stream = bytes(rng.randrange(256) for _ in range(m))
+            assert _xor(data, stream) == bytes(
+                a ^ b for a, b in zip(data, stream))
+
+
+class TestPickledSize:
+    def test_group_and_keys_stay_small_after_generate(self):
+        """The generator table lives outside object state: groups and
+        keys cross shard boundaries by pickle."""
+        sk = SigningKey(SCHNORR_GROUP.random_scalar(random.Random(9)))
+        vk = sk.public  # runs generate, so the table exists
+        for obj in (SCHNORR_GROUP, sk, vk):
+            blob = pickle.dumps(obj)
+            assert len(blob) < 1024
+            assert pickle.loads(blob) == obj
 
 
 class TestShareField:
