@@ -31,7 +31,6 @@ from .cpu import (
     FIG8_RATES,
     LatencyPoint,
     fig7_cpu_breakdown,
-    fig7_saturation_rate,
     fig8_latency_sweep,
 )
 from .leakage import LeakageStudy, fig19_study, final_hijack_leaks
@@ -99,7 +98,6 @@ from .userlevel import (
     StallResult,
     fig21_comparison,
     satellite_pass_impact,
-    stall_summary,
     tcp_recovery_time_s,
 )
 
@@ -112,7 +110,7 @@ __all__ = [
     "SurvivalSample", "run_chaos_availability", "run_chaos_trials",
     "write_chaos_report", "write_monte_carlo_report",
     "FIG7_RATES", "FIG8_RATES", "LatencyPoint", "fig7_cpu_breakdown",
-    "fig7_saturation_rate", "fig8_latency_sweep",
+    "fig8_latency_sweep",
     "LeakageStudy", "fig19_study", "final_hijack_leaks",
     "FIG17_RATES", "PrototypePoint", "fig17_sweep",
     "session_latency_comparison", "solution_cpu_percent",
@@ -124,7 +122,7 @@ __all__ = [
     "mean_hops_to_ground", "reduction_factors", "signaling_load", "sweep",
     "TemporalSample", "load_variation", "satellite_ground_track_load",
     "StallResult", "fig21_comparison", "satellite_pass_impact",
-    "stall_summary", "tcp_recovery_time_s",
+    "tcp_recovery_time_s",
     "chaos_observability", "cohort_observability",
     "write_metrics_snapshot", "write_trace_jsonl",
     "generate_report", "write_report",

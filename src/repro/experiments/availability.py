@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..baselines.solutions import fiveg_ntn, spacecore
 from ..faults.failures import procedure_success_probability
 from ..fiveg.messages import ProcedureKind
@@ -54,20 +52,9 @@ def gateway_reachability(constellation: Constellation,
     total = constellation.total_satellites
     for sat in rng.sample(range(total), int(total * failure_fraction)):
         topology.fail_satellite(sat)
-    graph = topology.snapshot_graph(t, include_ground=False)
-    sources = set()
-    for gs in stations:
-        access = topology.station_access_satellite(gs, t)
-        if access >= 0:
-            sources.add(access)
-    if not sources:
-        return 0.0
-    reachable = set()
-    for component in nx.connected_components(graph):
-        if component & sources:
-            reachable |= component
-    live = graph.number_of_nodes()
-    return len(reachable) / live if live else 0.0
+    hops = topology.hops_from(topology.gateway_access_satellites(t))
+    live = total - len(topology.failed_satellites())
+    return int((hops >= 0).sum()) / live
 
 
 def availability_sweep(constellation: Constellation,

@@ -30,8 +30,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..baselines.solutions import fiveg_ntn
 from ..constants import (
     INMARSAT_REGISTRATION_DELAY_S,
@@ -359,16 +357,8 @@ class _StatefulBaseline:
         if sat < 0:
             return False
         topology = self.system.topology
-        graph = topology.snapshot_graph(t, include_ground=False)
-        if sat not in graph:
-            return False
-        sources = set()
-        for _, gs in topology.live_ground_stations():
-            access = topology.station_access_satellite(gs, t)
-            if access >= 0:
-                sources.add(access)
-        return any(nx.has_path(graph, sat, source)
-                   for source in sources if source in graph)
+        hops = topology.hops_from(topology.gateway_access_satellites(t))
+        return bool(hops[sat] >= 0)
 
     def _reattach(self, supi: str, t: float) -> None:
         """NAS-timed retries of the full home-routed procedure."""

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..baselines.base import Solution
 from ..baselines.solutions import ALL_SOLUTIONS
 from ..constants import SATELLITE_CAPACITIES
@@ -89,17 +87,12 @@ def _cached_mean_hops(constellation: Constellation,
                       stations: Tuple[GroundStation, ...],
                       t: float) -> float:
     topology = GridTopology(IdealPropagator(constellation), list(stations))
-    graph = topology.snapshot_graph(t, include_ground=False)
-    sources = set()
-    for gs in stations:
-        access = topology.station_access_satellite(gs, t)
-        if access >= 0:
-            sources.add(access)
+    sources = topology.gateway_access_satellites(t)
     if not sources:
         raise RuntimeError("no gateway has satellite coverage at t")
-    distances = nx.multi_source_dijkstra_path_length(
-        graph, sources, weight=None)
-    return sum(distances.values()) / len(distances)  # repro: ignore[float-reduction-order] -- hop counts are ints (weight=None); integer sums are order-exact
+    hops = topology.hops_from(sources)
+    reached = hops[hops >= 0]
+    return int(reached.sum()) / len(reached)
 
 
 def mean_hops_to_ground(constellation: Constellation,
@@ -109,7 +102,7 @@ def mean_hops_to_ground(constellation: Constellation,
 
     Multi-source BFS from every gateway's access satellite over the
     +Grid graph -- the multi-hop factor of the storm arithmetic ("up
-    to 48" hops in the paper's polar worst case).  The Dijkstra is
+    to 48" hops in the paper's polar worst case).  The search is
     memoized per process on (constellation, station set, t):
     ``reduction_factors`` and ``sweep`` ask for the same constellation
     many times, and sharded workers ask once per design point.
@@ -199,7 +192,7 @@ def _sweep_point(work) -> SignalingLoad:
     the shared registry (once per worker, not once per task); the work
     item is just three small indices.  The worker-side hop count comes
     from the shard-local memo, so a worker that sees several capacities
-    of one constellation runs the Dijkstra once -- same arithmetic,
+    of one constellation runs the search once -- same arithmetic,
     same floats, as the serial loop.
     """
     constellation_index, solution_index, capacity = work

@@ -19,7 +19,7 @@ import difflib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .engine import ScenarioResult, run_scenario
 from .slo import FAIL
@@ -108,11 +108,3 @@ def check_scenario(spec: ScenarioSpec,
     return CheckOutcome(spec.name, verdict, drift=True,
                         diff=diff_lines(expected, actual, spec.name),
                         result=result)
-
-
-def check_catalog(specs: Dict[str, ScenarioSpec],
-                  workers: Optional[int] = None,
-                  update: bool = False) -> List[CheckOutcome]:
-    """Check every given scenario, in sorted-name order."""
-    return [check_scenario(specs[name], workers=workers, update=update)
-            for name in sorted(specs)]

@@ -8,7 +8,7 @@ from .contact_plan import (
     summarize,
 )
 from .grid import GridTopology
-from .links import Link, LinkBudget, line_of_sight_clear, propagation_delay_s
+from .links import Link, line_of_sight_clear, propagation_delay_s
 from .routing import DijkstraRouter, GeospatialRouter, RouteResult, path_stretch
 from .traffic import (
     ConcentrationComparison,
@@ -24,7 +24,6 @@ __all__ = [
     "gateway_contact_plan", "summarize",
     "GridTopology",
     "Link",
-    "LinkBudget",
     "line_of_sight_clear",
     "propagation_delay_s",
     "DijkstraRouter",

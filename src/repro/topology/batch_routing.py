@@ -62,13 +62,12 @@ from ..constants import SPEED_OF_LIGHT_KM_S, TWO_PI
 from ..obs.metrics import MetricsRegistry
 from ..orbits.snapshot import (
     ConstellationSnapshot,
-    grid_neighbor_table,
     snapshot_for,
     snapshots_for,
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
-from .routing import GeospatialRouter, RouteResult, grid_edge_liveness
+from .routing import GeospatialRouter, RouteResult
 
 __all__ = [
     "BatchGeoRouter",
@@ -136,7 +135,7 @@ class NextHopTable:
                  topology: GridTopology):
         self.snapshot = snapshot
         self.fault_epoch = topology.fault_epoch
-        self.neighbors = grid_neighbor_table(snapshot.constellation)
+        self.neighbors = topology.neighbor_table
         self.hop_km = snapshot.hop_lengths_km()
         # Per-edge propagation delay, divided once at table build: the
         # scalar accumulates ``hop_km / c`` per hop, and an elementwise
@@ -164,7 +163,7 @@ class NextHopTable:
         if self.healthy:
             self.edge_up = None
         else:
-            self.edge_up = grid_edge_liveness(topology, self.neighbors)
+            self.edge_up = topology.edge_liveness()
 
 
 class BatchRouteResult:

@@ -10,20 +10,22 @@ time (a ground-space link).
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List,
+                    Sequence, Tuple)
 
-import networkx as nx
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S
+from ..constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from ..orbits.constellation import Constellation
 from ..orbits.coordinates import distance3, geodetic_to_ecef
 from ..orbits.coverage import coverage_half_angle
 from ..orbits.groundstations import GroundStation
 from ..orbits.propagator import IdealPropagator
-from ..orbits.snapshot import snapshot_for
-from ..constants import EARTH_RADIUS_KM
+from ..orbits.snapshot import grid_neighbor_table, snapshot_for
 from .links import propagation_delay_s
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GridTopology:
@@ -41,11 +43,16 @@ class GridTopology:
         self._failed_sats: set = set()
         self._failed_isls: set = set()
         self._failed_stations: set = set()
-        # The +Grid wiring is static; memoise each satellite's four
-        # neighbours so per-hop routing does no plane/slot arithmetic.
-        self._neighbor_cache: Dict[int, Tuple[int, int, int, int]] = {}
+        #: The static +Grid wiring, ``(N, 4)`` (up, down, left, right):
+        #: the one substrate every topology consumer reads, masked by
+        #: :meth:`edge_liveness` for the current faults.
+        self.neighbor_table: np.ndarray = grid_neighbor_table(
+            self.constellation)
+        # Rows of the table as Python ints, memoised on first use, so
+        # per-hop scalar routing does not unbox NumPy scalars.
+        self._neighbor_rows: Dict[int, Tuple[int, int, int, int]] = {}
         #: Monotonic counter bumped on every failure-state change, so
-        #: liveness-dependent caches (e.g. DijkstraRouter graphs) can
+        #: liveness-dependent caches (e.g. DijkstraRouter adjacencies) can
         #: key on it.  Pure-geometry snapshots never depend on it.
         self._fault_epoch = 0
         #: Weak references to zero-argument callbacks fired after every
@@ -87,12 +94,17 @@ class GridTopology:
                 callback()
         self._fault_listeners = live
 
+    def _check_satellite(self, sat: int) -> None:
+        if not 0 <= sat < self.constellation.total_satellites:
+            raise ValueError(f"no satellite with index {sat}")
+
     def fail_satellite(self, sat: int) -> None:
         """Remove a satellite (radiation/debris failure, S3.3).
 
         Idempotent: failing an already-failed satellite neither bumps
         the fault epoch nor invalidates liveness caches.
         """
+        self._check_satellite(sat)
         if sat not in self._failed_sats:
             self._failed_sats.add(sat)
             self._bump_fault_epoch()
@@ -105,6 +117,10 @@ class GridTopology:
 
     def fail_isl(self, sat_a: int, sat_b: int) -> None:
         """Take one ISL down (laser misalignment, S3.3). Idempotent."""
+        self._check_satellite(sat_a)
+        self._check_satellite(sat_b)
+        if sat_a == sat_b:
+            raise ValueError(f"an ISL needs two satellites, got {sat_a} twice")
         key = frozenset((sat_a, sat_b))
         if key not in self._failed_isls:
             self._failed_isls.add(key)
@@ -176,26 +192,63 @@ class GridTopology:
     # -- neighbourhood ---------------------------------------------------------
 
     def _grid_neighbors(self, sat: int) -> Tuple[int, int, int, int]:
-        """(up, down, left, right) neighbours of ``sat``, memoised."""
-        cached = self._neighbor_cache.get(sat)
-        if cached is None:
-            c = self.constellation
-            plane, slot = c.plane_slot(sat)
-            up, down = c.intra_plane_neighbors(plane, slot)
-            left, right = c.inter_plane_neighbors(plane, slot)
-            cached = (up, down, left, right)
-            self._neighbor_cache[sat] = cached
-        return cached
+        """(up, down, left, right) neighbours of ``sat``: one table row."""
+        row = self._neighbor_rows.get(sat)
+        if row is None:
+            up, down, left, right = self.neighbor_table[sat].tolist()
+            row = self._neighbor_rows[sat] = (up, down, left, right)
+        return row
 
     def isl_neighbors(self, sat: int) -> List[int]:
         """The up-to-four live grid neighbours of ``sat``."""
-        up, down, left, right = self._grid_neighbors(sat)
-        return [n for n in (up, down, left, right) if self.isl_up(sat, n)]
+        return [n for n in self._grid_neighbors(sat) if self.isl_up(sat, n)]
 
     def directional_neighbors(self, sat: int) -> Dict[str, int]:
         """Neighbours keyed by the Algorithm 1 direction names."""
         up, down, left, right = self._grid_neighbors(sat)
         return {"up": up, "down": down, "left": left, "right": right}
+
+    def edge_liveness(self) -> np.ndarray:
+        """``(N, 4)`` liveness of every +Grid edge under current faults.
+
+        Entry ``[s, d]`` is True when both endpoints of the edge from
+        ``s`` in direction ``d`` of :attr:`neighbor_table` are alive
+        and the ISL carries no failure mark.  Read by the batch
+        router's next-hop tables, the Dijkstra baseline's sparse
+        adjacency and :meth:`hops_from`.
+        """
+        neighbors = self.neighbor_table
+        sat_up = np.ones(len(neighbors), dtype=bool)
+        if self._failed_sats:
+            sat_up[sorted(self._failed_sats)] = False
+        edge_up = sat_up[:, None] & sat_up[neighbors]
+        for link in self._failed_isls:
+            a, b = sorted(link)
+            edge_up[a, neighbors[a] == b] = False
+            edge_up[b, neighbors[b] == a] = False
+        return edge_up
+
+    def hops_from(self, sources: Iterable[int]) -> np.ndarray:
+        """ISL hop count from the nearest live source, per satellite.
+
+        One multi-source breadth-first search over the live +Grid
+        (:attr:`neighbor_table` masked by :meth:`edge_liveness`);
+        ``-1`` marks satellites no source reaches, failed ones
+        included.  Failed sources are ignored.
+        """
+        neighbors = self.neighbor_table
+        edge_up = self.edge_liveness()
+        hops = np.full(len(neighbors), -1, dtype=np.int64)
+        frontier = np.unique(np.fromiter(
+            (s for s in sources if self.is_up(s)), dtype=np.int64))
+        hops[frontier] = 0
+        depth = 0
+        while frontier.size:
+            depth += 1
+            reached = neighbors[frontier][edge_up[frontier]]
+            frontier = np.unique(reached[hops[reached] < 0])
+            hops[frontier] = depth
+        return hops
 
     # -- geometry ---------------------------------------------------------------
 
@@ -261,15 +314,31 @@ class GridTopology:
                 return sat
         return -1
 
+    def gateway_access_satellites(self, t: float) -> List[int]:
+        """Access satellites of every online gateway at t.
+
+        In ground-station order, without repeats; gateways that no live
+        satellite covers contribute nothing.
+        """
+        access: List[int] = []
+        for _, gs in self.live_ground_stations():
+            sat = self.station_access_satellite(gs, t)
+            if sat >= 0 and sat not in access:
+                access.append(sat)
+        return access
+
     # -- graph snapshot ------------------------------------------------------------
 
     def snapshot_graph(self, t: float,
-                       include_ground: bool = True) -> nx.Graph:
-        """A weighted (propagation-delay) graph of the live topology at t.
+                       include_ground: bool = True) -> "nx.Graph":
+        """A weighted (propagation-delay) networkx graph of the live topology.
 
-        Used by the Dijkstra baseline router and by reachability
-        analyses under failure injection.
+        The independent oracle the tests check the neighbour-table
+        consumers against; nothing in the package calls it, and
+        networkx is needed only when it is called.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         c = self.constellation
         positions = snapshot_for(self.propagator, t).positions_ecef

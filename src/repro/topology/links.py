@@ -75,22 +75,6 @@ class Link:
         return bits / (self.bandwidth_mbps * 1e6)
 
 
-@dataclass
-class LinkBudget:
-    """Simple distance-based link feasibility for laser ISLs.
-
-    Laser ISLs have a maximum usable range (alignment and power): grid
-    neighbours in LEO shells sit well inside it, but the model lets
-    failure studies disable over-stretched links.
-    """
-
-    max_range_km: float = 6000.0
-
-    def feasible(self, distance_km: float) -> bool:
-        """Whether a laser link of this length closes."""
-        return 0.0 < distance_km <= self.max_range_km
-
-
 def line_of_sight_clear(pos_a, pos_b, occluder_radius_km: float) -> bool:
     """Whether the segment between two satellites clears the Earth.
 

@@ -17,12 +17,10 @@ of state SpaceCore wants satellites not to carry.
 from __future__ import annotations
 
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..constants import SPEED_OF_LIGHT_KM_S
@@ -32,11 +30,7 @@ from ..orbits.coordinates import (
     wrap_signed,
 )
 from ..orbits.coverage import coverage_half_angle
-from ..orbits.snapshot import (
-    ConstellationSnapshot,
-    grid_neighbor_table,
-    snapshot_for,
-)
+from ..orbits.snapshot import ConstellationSnapshot, snapshot_for
 from .grid import GridTopology
 
 #: Hop budget of the relay pipeline (Fig. 18b and every consumer that
@@ -47,62 +41,6 @@ from .grid import GridTopology
 #: plane the pipeline happens to route through (the parity bug this
 #: constant fixes -- see tests/test_batch_routing.py).
 RELAY_MAX_HOPS = 512
-
-#: Sentinel distinguishing "scipy import not yet attempted" from "scipy
-#: absent" in the memo below.
-_SCIPY_UNRESOLVED = object()
-_scipy_csgraph = _SCIPY_UNRESOLVED
-
-
-def load_scipy_csgraph():
-    """scipy's ``(csr_matrix, dijkstra)`` pair, or ``None``.
-
-    ``None`` means scipy is not installed (it is an optional ``perf``
-    extra) or the user opted out with ``REPRO_NO_SCIPY=1``; callers
-    fall back to the networkx per-pair path.  The import outcome is
-    memoised; the environment gate is re-read per call so tests can
-    exercise both engines in one process.
-    """
-    global _scipy_csgraph
-    if os.environ.get("REPRO_NO_SCIPY"):
-        return None
-    if _scipy_csgraph is _SCIPY_UNRESOLVED:
-        try:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-            _scipy_csgraph = (csr_matrix, dijkstra)
-        except ImportError:
-            _scipy_csgraph = None
-    return _scipy_csgraph
-
-
-def grid_edge_liveness(topology: GridTopology,
-                       neighbors: np.ndarray) -> np.ndarray:
-    """``(N, 4)`` liveness of every +Grid edge under current faults.
-
-    ``neighbors`` is the :func:`grid_neighbor_table` of the topology's
-    constellation; entry ``[s, d]`` is True when both endpoints of the
-    edge from ``s`` in direction ``d`` are alive and the ISL carries
-    no failure mark.  Shared by the batch router's next-hop tables and
-    the Dijkstra baseline's sparse adjacency.
-    """
-    total = topology.constellation.total_satellites
-    sat_up = np.ones(total, dtype=bool)
-    failed_sats = topology.failed_satellites()
-    if failed_sats:
-        sat_up[sorted(failed_sats)] = False
-    edge_up = sat_up[:, None] & sat_up[neighbors]
-    for link in topology.failed_isls():
-        pair = sorted(link)
-        if len(pair) != 2:
-            continue
-        a, b = pair
-        if not (0 <= a < total and 0 <= b < total):
-            continue
-        edge_up[a, neighbors[a] == b] = False
-        edge_up[b, neighbors[b] == a] = False
-    return edge_up
-
 
 @dataclass
 class RouteResult:
@@ -334,98 +272,66 @@ class GeospatialRouter:
 class DijkstraRouter:
     """Stateful shortest-path baseline over a topology snapshot.
 
-    Graphs are kept in a bounded LRU keyed by ``(t, fault_epoch)`` so
+    Runs ``scipy.sparse.csgraph.dijkstra`` over the delay-weighted
+    +Grid adjacency: the topology's neighbour table, masked by its edge
+    liveness and weighted by the snapshot's ISL lengths.  Adjacencies
+    are kept in a bounded LRU keyed by ``(t, fault_epoch)`` so
     workloads that alternate between a handful of timesteps (e.g.
     ideal-vs-J4 sweeps interleaving the same sample epochs) stop
-    rebuilding the same snapshot graph on every switch.  The router
-    also registers as a fault listener: any failure-state change
-    actively drops every cached graph/adjacency, so chaos scenarios
-    can neither read stale liveness nor pin dead-epoch graphs in
-    memory until they age out of the LRU.
+    rebuilding the same matrix on every switch.  The router also
+    registers as a fault listener: any failure-state change actively
+    drops every cached adjacency, so chaos scenarios can neither read
+    stale liveness nor pin dead-epoch matrices in memory until they
+    age out of the LRU.
 
-    :meth:`route_many` answers whole source/destination batches at
-    once through ``scipy.sparse.csgraph.dijkstra`` over the +Grid
-    adjacency (one multi-source run per unique source); without scipy
-    (an optional extra) it degrades to the per-pair networkx walk.
+    scipy is imported here and nowhere else in the package, on first
+    use: the unweighted consumers (reachability, hop counts) run a
+    NumPy breadth-first search instead and never pay for it.
     """
 
     def __init__(self, topology: GridTopology, cache_size: int = 16):
         self.topology = topology
         self._cache_size = max(1, cache_size)
-        self._graph_cache: "OrderedDict[Tuple[float, int], nx.Graph]" = (
-            OrderedDict())
         #: (t, fault_epoch) -> (csr delay-weighted adjacency,
-        #: neighbor table, per-edge km, per-edge liveness or None).
+        #: per-edge km).
         self._matrix_cache: "OrderedDict[Tuple[float, int], tuple]" = (
             OrderedDict())
         topology.add_fault_listener(self.invalidate)
 
     def invalidate(self) -> None:
-        """Drop every cached graph (fault listeners call this)."""
-        self._graph_cache.clear()
+        """Drop every cached adjacency (fault listeners call this)."""
         self._matrix_cache.clear()
 
-    def _graph(self, t: float) -> nx.Graph:
-        # Keyed by (t, fault epoch): a graph embeds liveness, so any
-        # failure-injection change makes a new key and old entries age
-        # out of the LRU instead of being served stale.
-        key = (t, self.topology.fault_epoch)
-        graph = self._graph_cache.get(key)
-        if graph is not None:
-            self._graph_cache.move_to_end(key)
-            return graph
-        graph = self.topology.snapshot_graph(t, include_ground=False)
-        self._graph_cache[key] = graph
-        while len(self._graph_cache) > self._cache_size:
-            self._graph_cache.popitem(last=False)
-        return graph
-
     def route(self, src_sat: int, dst_sat: int, t: float) -> RouteResult:
-        """Shortest path between two satellites on the snapshot graph."""
-        graph = self._graph(t)
-        if src_sat not in graph or dst_sat not in graph:
-            return RouteResult(False)
-        try:
-            path = nx.shortest_path(graph, src_sat, dst_sat,
-                                    weight="weight")
-        except nx.NetworkXNoPath:
-            return RouteResult(False)
-        delay = 0.0
-        distance = 0.0
-        for a, b in zip(path, path[1:]):
-            delay += graph[a][b]["weight"]
-            distance += graph[a][b]["distance_km"]
-        return RouteResult(True, list(path), delay, distance)
+        """Shortest path between two satellites: one-pair :meth:`route_many`."""
+        return self.route_many([src_sat], [dst_sat], t)[0]
 
     # -- batched shortest paths ------------------------------------------------
 
     def _adjacency(self, t: float) -> tuple:
         """Sparse +Grid adjacency (delay-weighted) for one epoch."""
+        from scipy.sparse import csr_matrix
+
         key = (float(t), self.topology.fault_epoch)
         cached = self._matrix_cache.get(key)
         if cached is not None:
             self._matrix_cache.move_to_end(key)
             return cached
-        loaded = load_scipy_csgraph()
-        assert loaded is not None  # callers gate on load_scipy_csgraph
-        csr_matrix, _ = loaded
-        c = self.topology.constellation
-        total = c.total_satellites
-        snapshot = snapshot_for(self.topology.propagator, t)
-        neighbors = grid_neighbor_table(c)
-        hop_km = snapshot.hop_lengths_km()
-        if self.topology.has_topology_faults:
-            edge_up = grid_edge_liveness(self.topology, neighbors)
-            live = edge_up.ravel()
-        else:
-            edge_up = None
-            live = slice(None)
+        neighbors = self.topology.neighbor_table
+        total = len(neighbors)
+        hop_km = snapshot_for(self.topology.propagator, t).hop_lengths_km()
+        live = self.topology.edge_liveness()
+        # On two-slot rings (or two-plane shells) up and down (left and
+        # right) name the same link; csr_matrix would sum the pair.
+        live[:, 1] &= neighbors[:, 1] != neighbors[:, 0]
+        live[:, 2] &= neighbors[:, 2] != neighbors[:, 3]
+        live = live.ravel()
         rows = np.repeat(np.arange(total), neighbors.shape[1])[live]
         cols = neighbors.ravel()[live]
         weights = (hop_km / SPEED_OF_LIGHT_KM_S).ravel()[live]
         matrix = csr_matrix((weights, (rows, cols)),
                             shape=(total, total))
-        entry = (matrix, neighbors, hop_km, edge_up)
+        entry = (matrix, hop_km)
         self._matrix_cache[key] = entry
         while len(self._matrix_cache) > self._cache_size:
             self._matrix_cache.popitem(last=False)
@@ -435,24 +341,23 @@ class DijkstraRouter:
                    dst_sats: Sequence[int], t: float) -> List[RouteResult]:
         """Shortest paths for ``(src, dst)`` satellite pairs in bulk.
 
-        With scipy available this runs one multi-source
-        ``csgraph.dijkstra`` per unique source over the sparse +Grid
-        adjacency and reconstructs each pair's path from the
-        predecessor matrix; pairs sharing a source share the search.
-        Delays/distances match the per-pair networkx :meth:`route`
-        (same edge weights); tie-broken equal-delay paths may differ
-        node-for-node, as with any shortest-path implementation.
+        Runs one multi-source ``csgraph.dijkstra`` per unique source
+        over the sparse +Grid adjacency and reconstructs each pair's
+        path from the predecessor matrix; pairs sharing a source share
+        the search.  Pairs with a failed or out-of-range endpoint, or
+        no live path, come back undelivered.  Equal-delay paths are
+        tie-broken by scipy, as with any shortest-path implementation.
         """
+        from scipy.sparse.csgraph import dijkstra
+
         srcs = [int(s) for s in src_sats]
         dsts = [int(d) for d in dst_sats]
         if len(srcs) != len(dsts):
             raise ValueError("src/dst sequences must have equal length")
         if not srcs:
             return []
-        if load_scipy_csgraph() is None:
-            return [self.route(s, d, t) for s, d in zip(srcs, dsts)]
-        _, dijkstra = load_scipy_csgraph()
-        matrix, neighbors, hop_km, edge_up = self._adjacency(t)
+        matrix, hop_km = self._adjacency(t)
+        neighbors = self.topology.neighbor_table
         total = matrix.shape[0]
         failed = self.topology.failed_satellites()
         unique = sorted({s for s in srcs if 0 <= s < total})

@@ -18,17 +18,14 @@ population under their footprints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..geo.population import PopulationGrid
 from ..orbits.coverage import footprint_radius_km
 from ..orbits.snapshot import snapshot_for
 from .grid import GridTopology
-from .routing import GeospatialRouter
+from .routing import DijkstraRouter, GeospatialRouter
 
 LinkKey = Tuple[int, int]
 
@@ -126,41 +123,32 @@ def load_to_gateways(topology: GridTopology, t: float,
 
     Each flow runs source -> gateway-access satellite (shortest path),
     then gateway -> gateway terrestrially, then access satellite ->
-    destination.  The space segment carries both access legs.
+    destination.  The space segment carries both access legs; each
+    leg takes the fewest-hop of the delay-shortest paths to the online
+    gateways.  A leg whose endpoint satellite has failed, or that
+    reaches no online gateway, counts its demand as undelivered.
     """
     if not topology.ground_stations:
         raise ValueError("gateway routing needs ground stations")
-    graph = topology.snapshot_graph(t, include_ground=False)
-    access = {}
-    for gs in topology.ground_stations:
-        sat = topology.station_access_satellite(gs, t)
-        if sat >= 0:
-            access[gs.name] = sat
-    if not access:
-        raise RuntimeError("no gateway has coverage at t")
-    access_sats = list(access.values())
+    gateways = topology.gateway_access_satellites(t)
+    endpoints = sorted({sat for src, dst, _ in demands
+                        for sat in (src, dst)})
+    routes = DijkstraRouter(topology).route_many(
+        [sat for sat in endpoints for _ in gateways],
+        [gateway for _ in endpoints for gateway in gateways], t)
+    best: Dict[int, Optional[List[int]]] = {}
+    for k, sat in enumerate(endpoints):
+        legs = routes[k * len(gateways):(k + 1) * len(gateways)]
+        best[sat] = min((leg.path for leg in legs if leg.delivered),
+                        key=len, default=None)
     load = TrafficLoad()
-    paths_cache: Dict[int, Dict[int, List[int]]] = {}
-
-    def shortest(a: int, b: int) -> Optional[List[int]]:
-        if a not in paths_cache:
-            paths_cache[a] = nx.single_source_dijkstra_path(
-                graph, a, weight="weight")
-        return paths_cache[a].get(b)
-
     for src, dst, demand in demands:
         for endpoint in (src, dst):
-            best_path = None
-            best_cost = math.inf
-            for gateway_sat in access_sats:
-                path = shortest(endpoint, gateway_sat)
-                if path is not None and len(path) < best_cost:
-                    best_cost = len(path)
-                    best_path = path
-            if best_path is None:
+            path = best[endpoint]
+            if path is None:
                 load.undelivered += demand
             else:
-                load.add_path(best_path, demand)
+                load.add_path(path, demand)
     return load
 
 

@@ -206,7 +206,7 @@ class TestIdempotentTopologyFaults:
 
 class TestJammingIdempotency:
     """Regression: repeated apply/lift cycles must keep the epoch
-    monotone and never leave the DijkstraRouter serving a stale graph.
+    monotone and never leave the DijkstraRouter serving a stale adjacency.
     """
 
     def test_repeated_cycles_monotone_epoch_and_fresh_routes(
@@ -215,21 +215,22 @@ class TestJammingIdempotency:
         router = DijkstraRouter(topology)
         sat = attack.affected_satellites(topology, 0.0)[0]
         neighbor = next(iter(topology.isl_neighbors(sat)))
-        baseline_edges = router._graph(0.0).number_of_edges()
+        baseline_edges = router._adjacency(0.0)[0].nnz
         epochs = [topology.fault_epoch]
         for _ in range(3):
             assert attack.apply(topology, 0.0) > 0
             epochs.append(topology.fault_epoch)
             assert not topology.isl_up(sat, neighbor)
-            # The LRU is keyed by fault epoch: the post-jam graph must
-            # be rebuilt without the downed links, never served stale.
-            jammed = router._graph(0.0)
-            assert not jammed.has_edge(sat, neighbor)
-            assert jammed.number_of_edges() < baseline_edges
+            # The LRU is keyed by fault epoch: the post-jam adjacency
+            # must be rebuilt without the downed links, never served
+            # stale.
+            jammed = router._adjacency(0.0)[0]
+            assert jammed[sat, neighbor] == 0
+            assert jammed.nnz < baseline_edges
             attack.lift(topology, 0.0)
             epochs.append(topology.fault_epoch)
             assert topology.isl_up(sat, neighbor)
-            assert router._graph(0.0).number_of_edges() == baseline_edges
+            assert router._adjacency(0.0)[0].nnz == baseline_edges
         assert epochs == sorted(epochs)
 
     def test_double_apply_downs_nothing_new(self, topology):
