@@ -12,7 +12,12 @@ Times four workloads on the 1584-satellite Starlink shell and emits
 * an epoch sweep -- the Fig. 18b relay shape, per-packet epochs over
   an orbital period at the relay hop budget -- through
   :meth:`~repro.topology.batch_routing.BatchGeoRouter.route_sweep`
-  against the scalar per-epoch relay loop it replaces.
+  against the scalar per-epoch relay loop it replaces;
+* the waves that leave the greedy walk: OneWeb and Iridium (seam
+  revisits) and Starlink with 2 % of its satellites failed (dead
+  links), each with its fallbacks by cause and the number of packets
+  the scalar walk recomputed -- 0 whenever the compiled kernel is
+  loaded, since it deflects packets itself.
 
 Every batch result is asserted bit-identical to the scalar walk on a
 sampled subset before any timing is trusted, so the speedup being
@@ -35,9 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
-from repro.orbits import make_propagator, starlink
+from repro.orbits import iridium, make_propagator, oneweb, starlink
 from repro.topology._walk_kernel import load_kernel
-from repro.topology.batch_routing import BatchGeoRouter
+from repro.topology.batch_routing import FALLBACK_CAUSES, BatchGeoRouter
 from repro.topology.grid import GridTopology
 from repro.topology.routing import RELAY_MAX_HOPS, GeospatialRouter
 
@@ -60,6 +65,14 @@ EPOCH_SWEEP_EPOCHS = 12
 EPOCH_SWEEP_PER_EPOCH = 25 if SMOKE else 100
 EPOCH_HORIZON_S = 5700.0
 
+#: Deflection rows: (row name, shell, fraction of satellites failed).
+DEFLECTION_ROWS = (
+    ("oneweb_wave", oneweb, 0.0),
+    ("iridium_wave", iridium, 0.0),
+    ("faulted_starlink_wave", starlink, 0.02),
+)
+DEFLECTION_PACKETS = 2000 if SMOKE else 10_000
+
 
 def _best_of(fn, repeats=3):
     best = math.inf
@@ -79,6 +92,57 @@ def _wave(constellation, packets, seed=SEED):
     lats = rng.uniform(-band, band, packets)
     lons = rng.uniform(-math.pi, math.pi, packets)
     return src, lats, lons
+
+
+def _deflection_row(factory, fault_fraction, kernel):
+    """One wave on a shell whose packets leave the greedy walk.
+
+    Bit-checked against the scalar walk (a stride sample plus every
+    flagged packet up to the sample size) before it is timed; the
+    fallback counters are read from that first, checked call.
+    """
+    constellation = factory()
+    topology = GridTopology(make_propagator(constellation, "ideal"), [])
+    rng = np.random.default_rng(SEED)
+    failed = round(fault_fraction * constellation.total_satellites)
+    for sat in sorted(int(v) for v in rng.choice(
+            constellation.total_satellites, failed, replace=False)):
+        topology.fail_satellite(sat)
+    metrics = MetricsRegistry()
+    batch = BatchGeoRouter(topology, metrics=metrics)
+    scalar = GeospatialRouter(topology)
+    src, lats, lons = _wave(constellation, DEFLECTION_PACKETS)
+    wave = batch.route_batch(src, lats, lons, ROUTING_T)
+    flagged = np.nonzero(wave.fallback)[0][:EQUIVALENCE_SAMPLE]
+    stride = max(1, DEFLECTION_PACKETS // EQUIVALENCE_SAMPLE)
+    for i in np.union1d(np.arange(0, DEFLECTION_PACKETS, stride),
+                        flagged):
+        expected = scalar.route(int(src[i]), float(lats[i]),
+                                float(lons[i]), ROUTING_T)
+        assert bool(wave.delivered[i]) == expected.delivered
+        assert bool(wave.degraded[i]) == expected.degraded
+        assert float(wave.delay_s[i]) == expected.delay_s
+        assert float(wave.distance_km[i]) == expected.distance_km
+        assert wave.path(i) == expected.path
+    by_cause = {cause: int(metrics.counter_value("routing.fallbacks",
+                                                 cause=cause))
+                for cause in FALLBACK_CAUSES}
+    recomputed = int(metrics.counter_value("routing.scalar_fallbacks"))
+    assert sum(by_cause.values()) == int(wave.fallback.sum())
+    if kernel:
+        assert recomputed == 0
+    seconds, _ = _best_of(
+        lambda: batch.route_batch(src, lats, lons, ROUTING_T))
+    return {
+        "constellation": constellation.name,
+        "failed_satellites": failed,
+        "packets": DEFLECTION_PACKETS,
+        "seconds": seconds,
+        "packets_per_s": DEFLECTION_PACKETS / seconds,
+        "delivered": int(wave.delivered.sum()),
+        "fallbacks": by_cause,
+        "scalar_fallbacks": recomputed,
+    }
 
 
 def test_batch_routing_throughput():
@@ -189,6 +253,9 @@ def test_batch_routing_throughput():
         "speedup_vs_scalar": sweep_speedup,
         "table_builds": table_builds,
     }
+
+    for name, factory, fault_fraction in DEFLECTION_ROWS:
+        results[name] = _deflection_row(factory, fault_fraction, kernel)
 
     BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))

@@ -3,10 +3,42 @@
 The NumPy lock-step walk in :mod:`repro.topology.batch_routing` is
 portable, but each packet-hop costs on the order of a hundred
 elementwise array passes; on one core that caps routing in the low
-hundreds of thousands of packets per second.  This module compiles the
-*same* walk -- operation-for-operation the same float64 arithmetic --
-as a per-packet C loop over the shared :class:`NextHopTable` arrays,
-which brings a hop down to a few dozen nanoseconds.
+hundreds of thousands of packets per second.  This module compiles
+the whole of Algorithm 1 -- the greedy hop *and* the deflection branch
+of ``GeospatialRouter.route`` -- as a per-packet C loop over the
+shared :class:`NextHopTable` arrays, which brings a hop down to a few
+dozen nanoseconds and means the batch plane never calls the scalar
+walk while the kernel is loaded.
+
+Deflection
+==========
+A packet deflects when it is centred on the grid but not even nearly
+covered, when its preferred edge is dead (the edge mask merges faults
+and the caller's ``avoid_links``), or when its preferred neighbour is
+already on its path.  It then takes the live neighbour absent from the
+path that minimises the remaining hop metric, exactly as
+``GeospatialRouter._best_live_neighbor_snap`` does: candidates in
+(up, down, left, right) column order, the reference divide-based
+metric, strict ``<`` between the two destination representations and
+between candidates.  No candidate left means undelivered with the
+partial path.  A per-call stamp array marks each packet's path, so the
+revisit test is one load on every shell (full-torus walks revisit too:
+on rings of two, or at an exact half-cell tie).
+
+The walk starts on the destination representations NumPy computed for
+the whole batch.  NumPy's vectorised arcsin/arctan2 can be one ulp off
+libm's, which cannot change a decision outside the guard band below.
+From the first decision inside the band, or the first deflection, the
+walk switches to the scalar's own representations (recomputed here on
+libm): inside the band the reference arithmetic decides, and
+deflection candidates one hop away in either dimension tie in real
+arithmetic, so the last bit of the metric picks the winner.
+
+The first deflection raises the packet's ``fallback`` flag and records
+its cause; the walk goes on.  A walk that outgrows the caller's path
+buffer stops with ``path_len == -1`` (flagged ``path_capacity`` if not
+yet flagged) and is re-walked by the caller with a ``max_hops + 1``
+buffer.
 
 Bit-exactness
 =============
@@ -16,8 +48,8 @@ The C source mirrors the scalar reference precisely:
   (including the ``copysign(0.0, divisor)`` normalisation of a zero
   remainder), then the same ``> pi`` conditional subtract.
 * The exact haversine replays the operand order of the scalar
-  ``central_angle`` / the batch plane's ``_exact_angles`` (``x * x``
-  squares, ``(cos * cos) * s2``, clip to ``[0, 1]``).
+  ``central_angle`` (``x * x`` squares, ``(cos * cos) * s2``, clip to
+  ``[0, 1]``).
 * Transcendentals come from the very libm the interpreter's ``math``
   module binds, and the build passes ``-ffp-contract=off`` so no FMA
   contraction re-associates a sum the NumPy plane rounds twice.
@@ -86,6 +118,36 @@ static double wrap_signed_diff(double d) {
     return w;
 }
 
+/* repro.orbits.coordinates.wrap_angle */
+static double wrap_angle(double a) {
+    double w = pymod_two_pi(a);
+    return w >= K_TWO_PI ? 0.0 : w;
+}
+
+/* InclinedCoordinateSystem.both_representations, operation for
+ * operation (Python's min/max argument order included), on the libm
+ * the interpreter's math module binds.  NumPy's vectorised arcsin /
+ * arctan2 may differ from libm in the last bit, which cannot move a
+ * decision outside the guard band but can decide an exact tie: inside
+ * the band, and between deflection candidates one hop away in either
+ * dimension (they tie in real arithmetic). */
+__attribute__((noinline, cold))
+static void exact_representations(double lat, double lon, double band,
+                                  double sin_i, double cos_i,
+                                  double reps[4]) {
+    double clamped = lat < band ? lat : band;
+    clamped = clamped > -band ? clamped : -band;
+    double sin_ratio = sin(clamped) / sin_i;
+    sin_ratio = sin_ratio < 1.0 ? sin_ratio : 1.0;
+    sin_ratio = sin_ratio > -1.0 ? sin_ratio : -1.0;
+    double gamma = asin(sin_ratio);
+    reps[0] = wrap_angle(lon - atan2(cos_i * sin(gamma), cos(gamma)));
+    reps[1] = gamma;
+    double gamma_d = K_PI - gamma;
+    reps[2] = wrap_angle(lon - atan2(cos_i * sin(gamma_d), cos(gamma_d)));
+    reps[3] = gamma_d;
+}
+
 /* The scalar-order haversine central angle (same expression tree as
  * BatchGeoRouter._exact_angles / coordinates.central_angle). */
 static double exact_angle(double sat_lat, double sat_lon,
@@ -118,10 +180,18 @@ static const double K_GUARD = 1e-12;
  * dimension direction (0 up, 1 down, 2 left, 3 right).  Bit-exact
  * against the divide-based reference: the fast path only fires
  * outside the K_GUARD band (see above), everything else falls
- * through to the reference arithmetic itself. */
-static int hop_decision(double wa0, double wg0, double wa1, double wg1,
+ * through to the reference arithmetic itself -- which needs the
+ * scalar's own destination representations, so with NumPy's
+ * (exact == 0) it returns -1 instead and the caller retries with
+ * exact ones. */
+/* Called twice in the walk loop (the retry with exact
+ * representations), so inlining must be forced: as an out-of-line
+ * call it costs the healthy walk several percent. */
+__attribute__((always_inline))
+static inline int hop_decision(double wa0, double wg0, double wa1, double wg1,
                         double dr, double dp,
-                        double half_dr, double half_dp, int *dir_out) {
+                        double half_dr, double half_dp, int exact,
+                        int *dir_out) {
     double awa0 = fabs(wa0), awg0 = fabs(wg0);
     double awa1 = fabs(wa1), awg1 = fabs(wg1);
     /* Representation pick: (|a1|/dr + |g1|/dp) < (|a0|/dr + |g0|/dp)
@@ -147,6 +217,7 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
         }
     }
     /* Near a boundary (or an exact tie): the reference decides. */
+    if (!exact) return -1;
     double da0 = wa0 / dr, dg0 = wg0 / dp;
     double da1 = wa1 / dr, dg1 = wg1 / dp;
     double ada0 = fabs(da0), adg0 = fabs(dg0);
@@ -159,17 +230,73 @@ static int hop_decision(double wa0, double wg0, double wa1, double wg1,
     return 0;
 }
 
+/* Cold paths: exact_representations and best_live_neighbor stay out
+ * of line and the walk marks their branches unlikely; inlined into the
+ * hop loop they cost the healthy walk several percent. */
+
+/* Fallback cause codes (BatchGeoRouter.FALLBACK_CAUSES, 1-based). */
+enum { CAUSE_CENTERED = 1, CAUSE_DEAD_LINK = 2, CAUSE_SEAM_REVISIT = 3,
+       CAUSE_PATH_CAPACITY = 4 };
+
+/* GeospatialRouter._best_live_neighbor_snap: among the live (edge
+ * mask) neighbours absent from the path prefix, in (up, down, left,
+ * right) column order, the one minimising the remaining hop metric
+ * |wrap(da)/delta_raan| + |wrap(dg)/delta_phase| over the better of
+ * the two destination representations -- the reference divides and
+ * strict < both between representations and between candidates.
+ * Deflections are rare, so there is no guard-band shortcut here.
+ * visited[] == stamp marks the nodes of the path so far.
+ * Returns the direction column, or -1 when no candidate survives. */
+__attribute__((noinline, cold))
+static int best_live_neighbor(
+    int64_t cur, const int32_t *visited, int32_t stamp,
+    double A0, double G0, double A1, double G1,
+    double delta_raan, double delta_phase,
+    const double *t_alpha, const double *t_gamma,
+    const int32_t *t_nbr, const uint8_t *t_edge)
+{
+    int best = -1;
+    double best_metric = INFINITY;
+    for (int d = 0; d < 4; d++) {
+        int64_t off = cur * 4 + d;
+        if (t_edge && !t_edge[off]) continue;
+        int32_t nbr = t_nbr[off];
+        if (visited[nbr] == stamp) continue;
+        double m0 = fabs(wrap_signed_diff(A0 - t_alpha[nbr]) / delta_raan)
+                  + fabs(wrap_signed_diff(G0 - t_gamma[nbr]) / delta_phase);
+        double m1 = fabs(wrap_signed_diff(A1 - t_alpha[nbr]) / delta_raan)
+                  + fabs(wrap_signed_diff(G1 - t_gamma[nbr]) / delta_phase);
+        double metric = m1 < m0 ? m1 : m0;
+        if (metric < best_metric) {
+            best_metric = metric;
+            best = d;
+        }
+    }
+    return best;
+}
+
 /* One Algorithm 1 walk per packet, identical decision structure to
- * BatchGeoRouter._route_chunk: coverage screen (dot product against
- * the destination radial, guard-banded exact re-test), both-
- * representation hop offsets, strict-< representation pick, dominant-
- * dimension direction, liveness / seam-revisit / path-capacity
- * fallback flags. */
-void walk_chunk(
+ * GeospatialRouter.route: coverage screen (dot product against the
+ * destination radial, guard-banded exact re-test), both-
+ * representation hop offsets, strict-< representation pick,
+ * dominant-dimension direction, and deflection to the best live
+ * unvisited neighbour when the packet is centred but not nearly
+ * covered, its preferred edge is dead (t_edge, NULL = all live) or
+ * its preferred neighbour is already on the path.  visited[s] == i + 1
+ * marks the nodes of packet i's path (one stamp per satellite, all
+ * below 1 on entry), so no per-packet clearing is needed.
+ *
+ * The first such event raises fallback[i] and records its cause; the
+ * walk then goes on.  A walk that outgrows path_cap - 1 hops is
+ * stopped with path_len[i] = -1 (flagged path_capacity unless
+ * already flagged) for the caller to re-walk with a wider buffer;
+ * the return value counts those rows.  With path_cap = max_hops + 1
+ * no walk is ever stopped. */
+int64_t walk_chunk(
     int64_t n, int64_t max_hops, int64_t path_cap,
-    int32_t full_torus, int32_t healthy,
     double theta, double slack_theta, double cos_in, double cos_out,
     double delta_raan, double delta_phase,
+    double band, double sin_i, double cos_i,
     const int64_t *src,
     const double *a0, const double *g0,
     const double *a1, const double *g1,
@@ -179,23 +306,34 @@ void walk_chunk(
     const double *t_slat, const double *t_slon,
     const double *t_ux, const double *t_uy, const double *t_uz,
     const int32_t *t_nbr, const double *t_hop, const double *t_delay,
-    const uint8_t *t_edge,
+    const uint8_t *t_edge, int32_t *visited,
     uint8_t *delivered, uint8_t *degraded, uint8_t *fallback,
+    uint8_t *cause_out,
     double *delay_out, double *dist_out,
     int32_t *path_len, int32_t *paths)
 {
     const double half_dr = 0.5 * delta_raan;   /* exact */
     const double half_dp = 0.5 * delta_phase;  /* exact */
+    int64_t overflow = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t cur = src[i];
-        const double A0 = a0[i], G0 = g0[i];
-        const double A1 = a1[i], G1 = g1[i];
+        /* Destination representations: NumPy's (which may differ from
+         * the scalar's in the last bit) until a decision falls inside
+         * the guard band or the walk first deflects, the scalar's
+         * exact ones from then on. */
+        double A0 = a0[i], G0 = g0[i];
+        double A1 = a1[i], G1 = g1[i];
+        double reps[4];
+        int exact = 0;
         const double DLAT = dest_lat[i], DLON = dest_lon[i];
         const double UX = ux[i], UY = uy[i], UZ = uz[i];
         double delay = 0.0, dist = 0.0;
         int32_t *path = paths + i * path_cap;
+        const int32_t stamp = (int32_t)(i + 1);
         path[0] = (int32_t)cur;
-        int resolved = 0;
+        visited[cur] = stamp;
+        int64_t nodes = -1;  /* path length once resolved */
+        int stopped = 0;     /* outgrew the path buffer */
         for (int64_t step = 0; step < max_hops; step++) {
             double dot = t_ux[cur] * UX + t_uy[cur] * UY
                        + t_uz[cur] * UZ;
@@ -210,77 +348,102 @@ void walk_chunk(
             }
             if (covered) {
                 delivered[i] = 1;
-                delay_out[i] = delay;
-                dist_out[i] = dist;
-                path_len[i] = (int32_t)(step + 1);
-                resolved = 1;
+                nodes = step + 1;
                 break;
             }
             double wa0 = wrap_signed_diff(A0 - t_alpha[cur]);
             double wg0 = wrap_signed_diff(G0 - t_gamma[cur]);
             double wa1 = wrap_signed_diff(A1 - t_alpha[cur]);
             double wg1 = wrap_signed_diff(G1 - t_gamma[cur]);
-            int dir = 0;
-            if (hop_decision(wa0, wg0, wa1, wg1,
-                             delta_raan, delta_phase,
-                             half_dr, half_dp, &dir)) {
+            int dir = 0, cause = 0;
+            int centered = hop_decision(wa0, wg0, wa1, wg1,
+                                        delta_raan, delta_phase,
+                                        half_dr, half_dp, exact, &dir);
+            if (__builtin_expect(centered < 0, 0)) {
+                exact_representations(DLAT, DLON, band, sin_i, cos_i,
+                                      reps);
+                A0 = reps[0]; G0 = reps[1]; A1 = reps[2]; G1 = reps[3];
+                exact = 1;
+                wa0 = wrap_signed_diff(A0 - t_alpha[cur]);
+                wg0 = wrap_signed_diff(G0 - t_gamma[cur]);
+                wa1 = wrap_signed_diff(A1 - t_alpha[cur]);
+                wg1 = wrap_signed_diff(G1 - t_gamma[cur]);
+                centered = hop_decision(wa0, wg0, wa1, wg1,
+                                        delta_raan, delta_phase,
+                                        half_dr, half_dp, 1, &dir);
+            }
+            if (centered) {
                 if (exact_angle(t_slat[cur], t_slon[cur],
                                 DLAT, DLON) <= slack_theta) {
                     delivered[i] = 1;
                     degraded[i] = 1;
-                    delay_out[i] = delay;
-                    dist_out[i] = dist;
-                    path_len[i] = (int32_t)(step + 1);
-                } else {
-                    /* Centered but not even nearly covered: the
-                     * scalar walk deflects sideways -- recompute. */
-                    fallback[i] = 1;
+                    nodes = step + 1;
+                    break;
                 }
-                resolved = 1;
-                break;
+                /* Centred but not even nearly covered. */
+                cause = CAUSE_CENTERED;
+            } else if (t_edge && !t_edge[cur * 4 + dir]) {
+                cause = CAUSE_DEAD_LINK;
+            } else if (visited[t_nbr[cur * 4 + dir]] == stamp) {
+                cause = CAUSE_SEAM_REVISIT;
             }
-            int64_t off = cur * 4 + dir;
-            int32_t nxt = t_nbr[off];
-            if (!healthy && !t_edge[off]) {
-                fallback[i] = 1;
-                resolved = 1;
-                break;
-            }
-            if (!full_torus) {
-                int revisit = 0;
-                for (int64_t k = 0; k <= step; k++) {
-                    if (path[k] == nxt) { revisit = 1; break; }
-                }
-                if (revisit) {
+            if (__builtin_expect(cause != 0, 0)) {
+                if (!fallback[i]) {
                     fallback[i] = 1;
-                    resolved = 1;
+                    cause_out[i] = (uint8_t)cause;
+                }
+                if (!exact) {
+                    exact_representations(DLAT, DLON, band, sin_i, cos_i,
+                                          reps);
+                    A0 = reps[0]; G0 = reps[1]; A1 = reps[2]; G1 = reps[3];
+                    exact = 1;
+                }
+                dir = best_live_neighbor(cur, visited, stamp,
+                                         A0, G0, A1, G1,
+                                         delta_raan, delta_phase,
+                                         t_alpha, t_gamma, t_nbr, t_edge);
+                if (dir < 0) {
+                    /* Nowhere left to go: undelivered, partial path. */
+                    nodes = step + 1;
                     break;
                 }
             }
             if (step + 1 >= path_cap) {
-                /* Path buffer exhausted (the caller trades capacity
-                 * for allocation cost); the scalar recompute has no
-                 * such limit. */
-                fallback[i] = 1;
-                resolved = 1;
+                /* Path buffer exhausted: the caller re-walks the row
+                 * with a max_hops + 1 buffer. */
+                if (!fallback[i]) {
+                    fallback[i] = 1;
+                    cause_out[i] = CAUSE_PATH_CAPACITY;
+                }
+                nodes = step + 1;
+                stopped = 1;
                 break;
             }
             /* t_delay is hop_km / c precomputed edgewise -- the same
              * two operands, the same correctly-rounded IEEE divide,
              * therefore the same quotient bits as the scalar's
              * per-hop division. */
+            int64_t off = cur * 4 + dir;
             delay += t_delay[off];
             dist += t_hop[off];
-            path[step + 1] = nxt;
-            cur = (int64_t)nxt;
+            cur = t_nbr[off];
+            path[step + 1] = (int32_t)cur;
+            visited[cur] = stamp;
         }
-        if (!resolved) {
+        if (nodes < 0) {
             /* max_hops levels exhausted: undelivered, partial path. */
+            nodes = max_hops + 1;
+        }
+        if (stopped) {
+            path_len[i] = -1;
+            overflow++;
+        } else {
             delay_out[i] = delay;
             dist_out[i] = dist;
-            path_len[i] = (int32_t)(max_hops + 1);
+            path_len[i] = (int32_t)nodes;
         }
     }
+    return overflow;
 }
 """
 
@@ -319,14 +482,14 @@ def _find_compiler() -> Optional[str]:
 
 
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
-    pointer_args: List[type] = [ctypes.c_void_p] * 28
+    pointer_args: List[type] = [ctypes.c_void_p] * 30
     lib.walk_chunk.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int32, ctypes.c_int32,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
     ] + pointer_args
-    lib.walk_chunk.restype = None
+    lib.walk_chunk.restype = ctypes.c_int64
     return lib
 
 

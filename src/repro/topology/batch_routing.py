@@ -12,18 +12,32 @@ handful of statements per *hop level* instead of per packet-hop.
 
 Bit-match contract
 ==================
-For every packet the batch plane either (a) replays the scalar
-floating-point arithmetic operation-for-operation (same haversine
-expression tree, same ``wrap_signed`` modulo form, same strict-``<``
-representation pick, same hop-length formula), or (b) detects that the
-packet needs a code path the vectorized walk does not model -- grid
-deflection around faults, caller-supplied ``avoid_links``, or a node
-revisit on seam (non-full-torus) constellations -- and *falls back* to
-the scalar router for that packet alone.  Either way
 ``route_batch(...).results()`` is element-for-element identical
 (paths, verdicts, delays, distances) to calling
 ``GeospatialRouter.route`` in a loop, which is what the equivalence
-suite asserts.
+suites assert.  The batch plane has two media:
+
+* the compiled walk kernel (:mod:`._walk_kernel`) replays all of
+  Algorithm 1 operation for operation -- the greedy hop, and the
+  deflection around dead satellites/links, ``avoid_links`` and path
+  revisits -- so with the kernel loaded the scalar walk is never
+  called;
+* the NumPy lock-step walk (the no-compiler path) replays the greedy
+  hop only.  A packet that would deflect is flagged and recomputed by
+  the scalar router, alone.
+
+Both read one edge mask per call: the table's fault liveness with the
+caller's ``avoid_links`` cleared, so only packets whose greedy walk
+meets an avoided link leave it.
+
+``BatchRouteResult.fallback`` marks the packets that left the greedy
+walk: centred but not even nearly covered, preferred edge dead,
+preferred neighbour already on the path, or -- kernel only -- a walk
+longer than its 64-node first-pass path buffer, which the kernel then
+re-walks with a full-width one.  ``fallback_cause`` holds each flagged
+packet's first cause, and the ``routing.fallbacks{cause=...}``
+counters total them.  ``routing.scalar_fallbacks`` counts only the
+packets the scalar walk actually recomputed: 0 on the kernel path.
 
 Per-epoch next-hop tables
 =========================
@@ -60,6 +74,7 @@ import numpy as np
 
 from ..constants import SPEED_OF_LIGHT_KM_S, TWO_PI
 from ..obs.metrics import MetricsRegistry
+from ..orbits.coordinates import central_angle
 from ..orbits.snapshot import (
     ConstellationSnapshot,
     snapshot_for,
@@ -74,12 +89,26 @@ __all__ = [
     "BatchRouteResult",
     "NextHopTable",
     "BATCH_SIZE_BUCKETS",
+    "FALLBACK_CAUSES",
 ]
 
 #: Histogram buckets for ``routing.batch_size`` (batches span request
 #: sizes from single packets to full Monte Carlo sweeps).
 BATCH_SIZE_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0,
                       16384.0, 65536.0, 262144.0, 1048576.0)
+
+#: Why a packet left the greedy walk, in cause-code order (code =
+#: index + 1; 0 = never flagged): centred on the grid but not even
+#: nearly covered, preferred edge dead (faults or ``avoid_links``),
+#: preferred neighbour already on the path, or (kernel path only) a
+#: walk longer than the first-pass path buffer.
+FALLBACK_CAUSES = ("centered", "dead_link", "seam_revisit",
+                   "path_capacity")
+_CENTERED, _DEAD_LINK, _SEAM_REVISIT = 1, 2, 3
+
+#: Path-buffer width of the kernel's first pass; rows that outgrow it
+#: are re-walked with a ``max_hops + 1`` buffer.
+_FIRST_PASS_CAPACITY = 64
 
 #: Column order of the neighbour/hop tables (matches
 #: :data:`repro.orbits.snapshot.GRID_DIRECTIONS`).
@@ -117,19 +146,82 @@ def _wrap_signed_diff(diff: np.ndarray) -> np.ndarray:
     return wrapped
 
 
+#: Half-width of the band around each greedy decision boundary (in
+#: hop units) inside which the NumPy walk re-derives a packet's
+#: destination representations with the scalar code.  NumPy's
+#: vectorised arcsin/arctan2 can be one ulp off libm's, which moves a
+#: hop offset by far less than 1e-12; outside the band the decision
+#: cannot change.
+_TIE_GUARD = 1e-9
+
+
+def _offsets(table: "NextHopTable", cur: np.ndarray, a0: np.ndarray,
+             g0: np.ndarray, a1: np.ndarray, g1: np.ndarray,
+             delta_raan: float, delta_phase: float
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                        np.ndarray]:
+    """Algorithm 1's hop offsets at satellites ``cur``, the scalar's
+    arithmetic elementwise.
+
+    Returns ``(da, dg, |da|, |dg|)`` of the better representation
+    (strict ``<``) and the ``(2, m)`` per-representation metrics
+    ``|da| + |dg|``.  The four signed differences are wrapped as one
+    stacked ``(4, m)`` program; only the gamma-ascending row (1) can
+    sit below -2*pi and need the second (exact, Sterbenz) add.
+    """
+    alpha_s = table.alpha[cur]
+    gamma_s = table.gamma[cur]
+    diffs = np.empty((4, cur.size))
+    np.subtract(a0, alpha_s, out=diffs[0])
+    np.subtract(g0, gamma_s, out=diffs[1])
+    np.subtract(a1, alpha_s, out=diffs[2])
+    np.subtract(g1, gamma_s, out=diffs[3])
+    wrapped = np.where(diffs < 0.0, diffs + TWO_PI, diffs)
+    row1 = wrapped[1]
+    negative = row1 < 0.0
+    if negative.any():
+        row1[negative] += TWO_PI
+    offsets = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+    offsets[0] /= delta_raan
+    offsets[1] /= delta_phase
+    offsets[2] /= delta_raan
+    offsets[3] /= delta_phase
+    magnitudes = np.abs(offsets)
+    sums = np.stack([magnitudes[0] + magnitudes[1],
+                     magnitudes[2] + magnitudes[3]])
+    use_desc = sums[1] < sums[0]
+    da = np.where(use_desc, offsets[2], offsets[0])
+    dg = np.where(use_desc, offsets[3], offsets[1])
+    abs_da = np.where(use_desc, magnitudes[2], magnitudes[0])
+    abs_dg = np.where(use_desc, magnitudes[3], magnitudes[1])
+    return da, dg, abs_da, abs_dg, sums
+
+
+def _near_tie(abs_da: np.ndarray, abs_dg: np.ndarray,
+              sums: np.ndarray) -> np.ndarray:
+    """Packets with a greedy decision inside the ``_TIE_GUARD`` band:
+    representation pick, centred test or dominant dimension."""
+    return ((np.abs(sums[1] - sums[0])
+             <= _TIE_GUARD * (1.0 + sums[0] + sums[1]))
+            | (np.abs(abs_da - 0.5) <= _TIE_GUARD)
+            | (np.abs(abs_dg - 0.5) <= _TIE_GUARD)
+            | (np.abs(abs_da - abs_dg)
+               <= _TIE_GUARD * (1.0 + abs_da + abs_dg)))
+
+
 class NextHopTable:
     """Everything one epoch of batch forwarding gathers from.
 
     Pure-geometry arrays (coordinates, neighbour wiring, hop lengths)
     come straight from the epoch snapshot and the constellation shape;
-    liveness (``healthy`` / ``edge_up``) is sampled from the topology's
-    failure marks at build time, which is why the cache key includes
-    the fault epoch.
+    liveness (``edge_up``, ``None`` when nothing is failed) is sampled
+    from the topology's failure marks at build time, which is why the
+    cache key includes the fault epoch.
     """
 
     __slots__ = ("snapshot", "fault_epoch", "neighbors", "hop_km",
                  "hop_delay_s", "alpha", "gamma", "sub_lat", "sub_lon",
-                 "unit_x", "unit_y", "unit_z", "healthy", "edge_up")
+                 "unit_x", "unit_y", "unit_z", "edge_up")
 
     def __init__(self, snapshot: ConstellationSnapshot,
                  topology: GridTopology):
@@ -159,11 +251,9 @@ class NextHopTable:
         self.unit_x = pos[:, 0] / norm
         self.unit_y = pos[:, 1] / norm
         self.unit_z = pos[:, 2] / norm
-        self.healthy = not topology.has_topology_faults
-        if self.healthy:
-            self.edge_up = None
-        else:
-            self.edge_up = topology.edge_liveness()
+        self.edge_up: Optional[np.ndarray] = (
+            topology.edge_liveness() if topology.has_topology_faults
+            else None)
 
 
 class BatchRouteResult:
@@ -185,18 +275,27 @@ class BatchRouteResult:
     """
 
     __slots__ = ("delivered", "degraded", "delay_s", "distance_km",
-                 "path_len", "fallback", "_paths", "_normalized")
+                 "path_len", "fallback", "fallback_cause", "_paths",
+                 "_normalized")
 
     def __init__(self, delivered: np.ndarray, degraded: np.ndarray,
                  delay_s: np.ndarray, distance_km: np.ndarray,
                  path_buffer: np.ndarray, path_len: np.ndarray,
-                 fallback: np.ndarray, normalized: bool = True):
+                 fallback: np.ndarray, normalized: bool = True,
+                 fallback_cause: Optional[np.ndarray] = None):
         self.delivered = delivered
         self.degraded = degraded
         self.delay_s = delay_s
         self.distance_km = distance_km
         self.path_len = path_len
+        #: Packets that left the greedy walk (or, on the kernel path,
+        #: outgrew its first-pass path buffer); ``fallback_cause``
+        #: holds each one's first cause, an index into
+        #: ``FALLBACK_CAUSES`` plus one (0 = not flagged).
         self.fallback = fallback
+        self.fallback_cause = (np.zeros(fallback.shape, dtype=np.uint8)
+                               if fallback_cause is None
+                               else fallback_cause)
         self._paths = path_buffer
         self._normalized = normalized
 
@@ -249,8 +348,8 @@ class BatchGeoRouter:
     """Algorithm 1 over packet batches, next-hop tables per epoch.
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
-    geometry and ``degraded_slack``) both as the per-packet fallback
-    for paths the array walk does not model and as the reference the
+    geometry and ``degraded_slack``) both as the NumPy walk's
+    per-packet fallback for deflections and as the reference the
     equivalence suite compares against.
     """
 
@@ -278,11 +377,13 @@ class BatchGeoRouter:
             OrderedDict())
         c = topology.constellation
         #: Full-torus Walker shells (delta-RAAN spans the whole circle,
-        #: e.g. Starlink/Kuiper deltas) admit a strict-decrease
-        #: argument on the hop metric, so the greedy walk can never
-        #: revisit a node; star constellations (OneWeb/Iridium,
-        #: raan_spread = pi) have a seam where it can, and get an
-        #: explicit per-step revisit check.
+        #: e.g. Starlink/Kuiper deltas): a greedy hop almost always
+        #: strictly decreases the hop metric, and while it does the
+        #: walk cannot revisit a node, so the NumPy walk scans the path
+        #: prefix only after a hop that fails to decrease it (exact
+        #: half-cell ties, rings of two).  Star constellations
+        #: (OneWeb/Iridium, raan_spread = pi) have a seam where greedy
+        #: walks do revisit, and get the scan at every step.
         self._full_torus = math.isclose(
             c.delta_raan * c.num_planes, TWO_PI, rel_tol=1e-9)
         topology.add_fault_listener(self.invalidate)
@@ -355,9 +456,9 @@ class BatchGeoRouter:
         does: one gathered haversine coverage test, one
         both-representation offset computation, one direction pick,
         one neighbour/hop-length gather -- each a single NumPy call
-        over the packets still in flight.  Packets that hit a
-        non-vectorized code path (deflection, ``avoid_links``, seam
-        revisit) are recomputed exactly by the scalar router.
+        over the packets still in flight (or the compiled kernel's
+        per-packet loop, deflections included).  ``avoid_links``
+        marks extra links as down for this call only.
         """
         src = np.ascontiguousarray(np.asarray(src_sats, dtype=np.int64))
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -378,24 +479,18 @@ class BatchGeoRouter:
         delivered = np.zeros(n, dtype=bool)
         degraded = np.zeros(n, dtype=bool)
         fallback = np.zeros(n, dtype=bool)
+        cause = np.zeros(n, dtype=np.uint8)
         delay = np.zeros(n, dtype=float)
         distance = np.zeros(n, dtype=float)
         path_len = np.ones(n, dtype=np.int32)
-
-        if n == 0 or avoid_links:
-            paths = np.full((n, 1), -1, dtype=np.int32)
-            if n:
-                paths[:, 0] = src
-                # Caller-supplied link avoidance composes with the
-                # visited set inside the scalar walk; rare (mid-flight
-                # reroutes), so those packets take the exact scalar
-                # path wholesale.
-                fallback[:] = True
-            return self._finish(src, dlat, dlon, t, avoid_links,
-                                delivered, degraded, delay, distance,
-                                paths, path_len, fallback)
+        if n == 0:
+            return BatchRouteResult(delivered, degraded, delay, distance,
+                                    np.full((0, 1), -1, dtype=np.int32),
+                                    path_len, fallback,
+                                    fallback_cause=cause)
 
         table = self._table(t)
+        edge = self._edge_mask(table, avoid_links)
         kernel = self._kernel_handle()
         if kernel is not None:
             # One raw path buffer for the whole batch; each chunk's
@@ -405,29 +500,35 @@ class BatchGeoRouter:
             # first path_buffer access (see BatchRouteResult).
             #
             # The capacity is deliberately small: an uninitialised
-            # 64-column buffer costs far less than a -1-filled
-            # (max_hops + 1)-column one, and the kernel flags the rare
-            # longer walk for exact scalar recompute (which has no
-            # capacity limit).  +Grid shortest-metric walks on the
-            # paper's shells stay well under 64 hops; only fault
-            # deflections ever exceed it.
-            cap = min(self.max_hops + 1, 64)
+            # 64-column buffer costs far less than a (max_hops + 1)-
+            # column one, and +Grid walks on the paper's shells mostly
+            # stay under 64 nodes.  The few rows that outgrow it are
+            # re-walked below with a full-width buffer.
+            cap = min(self.max_hops + 1, _FIRST_PASS_CAPACITY)
             paths = np.empty((n, cap), dtype=np.int32)
+            self._count("routing.kernel_packets", n)
+            overflow = 0
             for lo in range(0, n, self.chunk_size):
                 hi = min(n, lo + self.chunk_size)
-                self._route_chunk_kernel(
-                    kernel, table, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
-                    delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
-                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi],
-                    paths[lo:hi])
-            return self._finish(src, dlat, dlon, t, avoid_links,
-                                delivered, degraded, delay, distance,
-                                paths, path_len, fallback,
-                                normalized=False)
+                overflow += self._route_chunk_kernel(
+                    kernel, table, edge, src[lo:hi], dlat[lo:hi],
+                    dlon[lo:hi], delivered[lo:hi], degraded[lo:hi],
+                    delay[lo:hi], distance[lo:hi], path_len[lo:hi],
+                    fallback[lo:hi], cause[lo:hi], paths[lo:hi])
+            if overflow:
+                paths = self._rewalk_long(kernel, table, edge, src, dlat,
+                                          dlon, delivered, degraded,
+                                          delay, distance, path_len,
+                                          paths)
+            self._count_fallbacks(cause, recomputed=0)
+            return BatchRouteResult(delivered, degraded, delay, distance,
+                                    paths, path_len, fallback,
+                                    normalized=False,
+                                    fallback_cause=cause)
         if n <= self.chunk_size:
-            paths = self._route_chunk(table, src, dlat, dlon, delivered,
-                                      degraded, delay, distance,
-                                      path_len, fallback)
+            paths = self._route_chunk(table, edge, src, dlat, dlon,
+                                      delivered, degraded, delay,
+                                      distance, path_len, fallback, cause)
         else:
             # Chunking keeps the per-hop working set inside the cache
             # hierarchy; per-packet results are independent, so chunked
@@ -436,9 +537,10 @@ class BatchGeoRouter:
             for lo in range(0, n, self.chunk_size):
                 hi = min(n, lo + self.chunk_size)
                 chunk_paths.append(self._route_chunk(
-                    table, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
+                    table, edge, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
                     delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
-                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi]))
+                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi],
+                    cause[lo:hi]))
             width = max(p.shape[1] for p in chunk_paths)
             paths = np.empty((n, width), dtype=np.int32)
             for k, chunk in enumerate(chunk_paths):
@@ -449,7 +551,30 @@ class BatchGeoRouter:
                     paths[lo:hi, chunk.shape[1]:] = -1
         return self._finish(src, dlat, dlon, t, avoid_links, delivered,
                             degraded, delay, distance, paths, path_len,
-                            fallback)
+                            fallback, cause)
+
+    def _edge_mask(self, table: NextHopTable,
+                   avoid_links: Optional[Set[FrozenSet[int]]]
+                   ) -> Optional[np.ndarray]:
+        """Edge liveness for one call: the table's fault mask with the
+        caller's ``avoid_links`` cleared (``None`` = every edge live).
+
+        The cached table is never modified; avoided links get a
+        per-call copy.  Entries that are not a pair of satellite
+        indices match no +Grid edge, as in the scalar walk.
+        """
+        if not avoid_links:
+            return table.edge_up
+        neighbors = table.neighbors
+        total = neighbors.shape[0]
+        edge = (np.ones(neighbors.shape, dtype=bool)
+                if table.edge_up is None else table.edge_up.copy())
+        for link in avoid_links:
+            if len(link) == 2 and all(0 <= v < total for v in link):
+                a, b = link
+                edge[a, neighbors[a] == b] = False
+                edge[b, neighbors[b] == a] = False
+        return edge
 
     # -- the epoch sweep -------------------------------------------------------
 
@@ -509,6 +634,7 @@ class BatchGeoRouter:
         delivered = np.zeros(n, dtype=bool)
         degraded = np.zeros(n, dtype=bool)
         fallback = np.zeros(n, dtype=bool)
+        cause = np.zeros(n, dtype=np.uint8)
         delay = np.zeros(n, dtype=float)
         distance = np.zeros(n, dtype=float)
         path_len = np.ones(n, dtype=np.int32)
@@ -521,6 +647,7 @@ class BatchGeoRouter:
             delivered[sel] = wave.delivered
             degraded[sel] = wave.degraded
             fallback[sel] = wave.fallback
+            cause[sel] = wave.fallback_cause
             delay[sel] = wave.delay_s
             distance[sel] = wave.distance_km
             path_len[sel] = wave.path_len
@@ -540,7 +667,7 @@ class BatchGeoRouter:
         assert paths is not None
         return BatchRouteResult(delivered, degraded, delay, distance,
                                 paths, path_len, fallback,
-                                normalized=False)
+                                normalized=False, fallback_cause=cause)
 
     def sweep_trials(self, src: Tuple[float, float],
                      dst: Tuple[float, float],
@@ -578,6 +705,7 @@ class BatchGeoRouter:
         delivered = np.zeros(n, dtype=bool)
         degraded = np.zeros(n, dtype=bool)
         fallback = np.zeros(n, dtype=bool)
+        cause = np.zeros(n, dtype=np.uint8)
         delay = np.zeros(n, dtype=float)
         distance = np.zeros(n, dtype=float)
         path_len = np.zeros(n, dtype=np.int32)
@@ -587,6 +715,7 @@ class BatchGeoRouter:
         delivered[routed] = wave.delivered
         degraded[routed] = wave.degraded
         fallback[routed] = wave.fallback
+        cause[routed] = wave.fallback_cause
         delay[routed] = wave.delay_s
         distance[routed] = wave.distance_km
         path_len[routed] = wave.path_len
@@ -594,47 +723,47 @@ class BatchGeoRouter:
             paths[routed, :buffer.shape[1]] = buffer
         return src_sats, BatchRouteResult(delivered, degraded, delay,
                                           distance, paths, path_len,
-                                          fallback)
+                                          fallback, fallback_cause=cause)
 
     def _route_chunk_kernel(self, kernel: ctypes.CDLL,
-                            table: NextHopTable, src: np.ndarray,
+                            table: NextHopTable,
+                            edge: Optional[np.ndarray], src: np.ndarray,
                             dlat: np.ndarray, dlon: np.ndarray,
                             delivered: np.ndarray, degraded: np.ndarray,
                             delay: np.ndarray, distance: np.ndarray,
                             path_len: np.ndarray, fallback: np.ndarray,
-                            paths: np.ndarray) -> None:
+                            cause: np.ndarray, paths: np.ndarray) -> int:
         """One chunk through the compiled per-packet walk.
 
-        Same decision structure and float64 arithmetic as
-        :meth:`_route_chunk` (see ``_walk_kernel``); scatters into the
-        same output views and writes each packet's path into its row
-        of ``paths`` (a contiguous row-slice of the batch buffer; only
-        the first ``path_len`` cells of a row are touched).
+        The whole of Algorithm 1, deflection included (see
+        ``_walk_kernel``); scatters into the output views and writes
+        each packet's path into its row of ``paths`` (a contiguous
+        row-slice of the batch buffer; only the first ``path_len``
+        cells of a row are touched).  Returns the number of rows that
+        outgrew the buffer (``path_len == -1``).
         """
         n = src.shape[0]
-        self._count("routing.kernel_packets", n)
         theta = self.scalar.coverage_angle
         c = self.topology.constellation
-        a0, g0, a1, g1 = self.scalar.system.both_representations_batch(
-            dlat, dlon)
+        system = self.scalar.system
+        a0, g0, a1, g1 = system.both_representations_batch(dlat, dlon)
         cos_dlat = np.cos(dlat)
         unit_x = cos_dlat * np.cos(dlon)
         unit_y = cos_dlat * np.sin(dlon)
         unit_z = np.sin(dlat)
-        cap = paths.shape[1]
-        edge = table.edge_up
 
         def ptr(array: np.ndarray) -> ctypes.c_void_p:
             return ctypes.c_void_p(array.ctypes.data)
 
-        kernel.walk_chunk(
-            n, self.max_hops, cap,
-            1 if self._full_torus else 0,
-            1 if table.healthy else 0,
+        visited = np.zeros(table.neighbors.shape[0], dtype=np.int32)
+        return int(kernel.walk_chunk(
+            n, self.max_hops, paths.shape[1],
             theta, theta * self.scalar.degraded_slack,
             math.cos(theta) + _COVERAGE_GUARD,
             math.cos(theta) - _COVERAGE_GUARD,
             c.delta_raan, c.delta_phase,
+            min(system.inclination, math.pi - system.inclination),
+            math.sin(system.inclination), math.cos(system.inclination),
             ptr(src), ptr(a0), ptr(g0), ptr(a1), ptr(g1),
             ptr(dlat), ptr(dlon),
             ptr(unit_x), ptr(unit_y), ptr(unit_z),
@@ -643,18 +772,63 @@ class BatchGeoRouter:
             ptr(table.unit_x), ptr(table.unit_y), ptr(table.unit_z),
             ptr(table.neighbors), ptr(table.hop_km),
             ptr(table.hop_delay_s),
-            ptr(edge) if edge is not None else None,
-            ptr(delivered), ptr(degraded), ptr(fallback),
-            ptr(delay), ptr(distance), ptr(path_len), ptr(paths))
+            ptr(edge) if edge is not None else None, ptr(visited),
+            ptr(delivered), ptr(degraded), ptr(fallback), ptr(cause),
+            ptr(delay), ptr(distance), ptr(path_len), ptr(paths)))
 
-    def _route_chunk(self, table: NextHopTable, src: np.ndarray,
+    def _rewalk_long(self, kernel: ctypes.CDLL, table: NextHopTable,
+                     edge: Optional[np.ndarray], src: np.ndarray,
                      dlat: np.ndarray, dlon: np.ndarray,
                      delivered: np.ndarray, degraded: np.ndarray,
                      delay: np.ndarray, distance: np.ndarray,
-                     path_len: np.ndarray, fallback: np.ndarray
+                     path_len: np.ndarray, paths: np.ndarray
                      ) -> np.ndarray:
-        """Lock-step walk of one chunk; scatters into the output views
-        and returns the chunk's path buffer."""
+        """Second kernel pass over the rows that outgrew the first
+        pass's buffer, with room for ``max_hops + 1`` nodes.
+
+        The first pass already recorded these rows' fallback flags and
+        causes; the re-walk supplies everything else.  Returns the
+        batch path buffer, widened to the longest re-walked path.
+        """
+        rows = np.nonzero(path_len < 0)[0]
+        k = rows.size
+        long_delivered = np.zeros(k, dtype=bool)
+        long_degraded = np.zeros(k, dtype=bool)
+        long_delay = np.zeros(k, dtype=float)
+        long_distance = np.zeros(k, dtype=float)
+        long_len = np.ones(k, dtype=np.int32)
+        long_paths = np.empty((k, self.max_hops + 1), dtype=np.int32)
+        self._route_chunk_kernel(
+            kernel, table, edge, src[rows], dlat[rows], dlon[rows],
+            long_delivered, long_degraded, long_delay, long_distance,
+            long_len, np.zeros(k, dtype=bool), np.zeros(k, dtype=np.uint8),
+            long_paths)
+        delivered[rows] = long_delivered
+        degraded[rows] = long_degraded
+        delay[rows] = long_delay
+        distance[rows] = long_distance
+        path_len[rows] = long_len
+        width = int(long_len.max())
+        if width > paths.shape[1]:
+            wider = np.empty((paths.shape[0], width), dtype=np.int32)
+            wider[:, :paths.shape[1]] = paths
+            paths = wider
+        paths[rows, :width] = long_paths[:, :width]
+        return paths
+
+    def _route_chunk(self, table: NextHopTable,
+                     edge: Optional[np.ndarray], src: np.ndarray,
+                     dlat: np.ndarray, dlon: np.ndarray,
+                     delivered: np.ndarray, degraded: np.ndarray,
+                     delay: np.ndarray, distance: np.ndarray,
+                     path_len: np.ndarray, fallback: np.ndarray,
+                     cause: np.ndarray) -> np.ndarray:
+        """Lock-step greedy walk of one chunk; scatters into the output
+        views and returns the chunk's path buffer.
+
+        Packets that would deflect are flagged (with their cause) and
+        left for :meth:`_finish` to recompute with the scalar walk.
+        """
         n = src.shape[0]
         theta = self.scalar.coverage_angle
         slack_theta = theta * self.scalar.degraded_slack
@@ -682,12 +856,22 @@ class BatchGeoRouter:
         cur = src.astype(np.int32)
         delay_a = np.zeros(n, dtype=float)
         dist_a = np.zeros(n, dtype=float)
+        # Packets whose next hop is checked against the path prefix
+        # (every packet on seam shells), and each packet's hop metric
+        # at its previous node (the full-torus revisit screen).
+        checking = np.full(n, not self._full_torus)
+        metric_prev = np.full(n, np.inf)
+        # Packets whose (a0, g0, a1, g1) are the scalar's own.
+        exact = np.zeros(n, dtype=bool)
 
         def _compact(keep: np.ndarray) -> None:
             nonlocal idx, cur, delay_a, dist_a, a0, g0, a1, g1
-            nonlocal unit_x, unit_y, unit_z
+            nonlocal unit_x, unit_y, unit_z, checking, metric_prev, exact
             idx = idx[keep]
             cur = cur[keep]
+            checking = checking[keep]
+            metric_prev = metric_prev[keep]
+            exact = exact[keep]
             delay_a = delay_a[keep]
             dist_a = dist_a[keep]
             a0 = a0[keep]
@@ -727,34 +911,52 @@ class BatchGeoRouter:
                     break
 
             # Lines 3-10: both-representation offsets, strict-< pick.
-            # The four signed differences are wrapped as one stacked
-            # (4, m) program; only the gamma-ascending row (1) can sit
-            # below -2*pi and need the second (exact, Sterbenz) add.
-            alpha_s = table.alpha[cur]
-            gamma_s = table.gamma[cur]
-            diffs = np.empty((4, idx.size))
-            np.subtract(a0, alpha_s, out=diffs[0])
-            np.subtract(g0, gamma_s, out=diffs[1])
-            np.subtract(a1, alpha_s, out=diffs[2])
-            np.subtract(g1, gamma_s, out=diffs[3])
-            wrapped = np.where(diffs < 0.0, diffs + TWO_PI, diffs)
-            row1 = wrapped[1]
-            negative = row1 < 0.0
-            if negative.any():
-                row1[negative] += TWO_PI
-            offsets = np.where(wrapped > math.pi,
-                               wrapped - TWO_PI, wrapped)
-            offsets[0] /= delta_raan
-            offsets[1] /= delta_phase
-            offsets[2] /= delta_raan
-            offsets[3] /= delta_phase
-            magnitudes = np.abs(offsets)
-            use_desc = (magnitudes[2] + magnitudes[3]
-                        < magnitudes[0] + magnitudes[1])
-            da = np.where(use_desc, offsets[2], offsets[0])
-            dg = np.where(use_desc, offsets[3], offsets[1])
-            abs_da = np.where(use_desc, magnitudes[2], magnitudes[0])
-            abs_dg = np.where(use_desc, magnitudes[3], magnitudes[1])
+            da, dg, abs_da, abs_dg, sums = _offsets(
+                table, cur, a0, g0, a1, g1, delta_raan, delta_phase)
+            # NumPy's representations may differ from the scalar's in
+            # the last bit; harmless unless a decision is within a
+            # hair of a tie, where those packets switch to the
+            # scalar's own (for the rest of their walk).
+            switched = np.nonzero(
+                ~exact & _near_tie(abs_da, abs_dg, sums))[0]
+            if switched.size:
+                for k in switched.tolist():
+                    (a0[k], g0[k]), (a1[k], g1[k]) = (
+                        self.scalar.system.both_representations(
+                            float(dlat[idx[k]]), float(dlon[idx[k]])))
+                exact[switched] = True
+                da, dg, abs_da, abs_dg, sums = _offsets(
+                    table, cur, a0, g0, a1, g1, delta_raan, delta_phase)
+            metric = np.minimum(sums[0], sums[1])
+
+            if self._full_torus:
+                # While a packet's hop metric strictly decreases no
+                # node can repeat; where it did not (or the metric
+                # itself just changed with the representations), check
+                # whether the hop into ``cur`` was a revisit (the
+                # scalar walk would have deflected instead) and scan
+                # from now on.
+                stalled = ~checking & ~(metric < metric_prev)
+                stalled[switched] = ~checking[switched]
+                stalled = np.nonzero(stalled)[0]
+                if stalled.size:
+                    checking[stalled] = True
+                    back = stalled[(paths[idx[stalled], :step]
+                                    == cur[stalled, None]).any(axis=1)]
+                    if back.size:
+                        fallback[idx[back]] = True
+                        cause[idx[back]] = _SEAM_REVISIT
+                        keep = np.ones(idx.size, dtype=bool)
+                        keep[back] = False
+                        _compact(keep)
+                        if idx.size == 0:
+                            break
+                        da = da[keep]
+                        dg = dg[keep]
+                        abs_da = abs_da[keep]
+                        abs_dg = abs_dg[keep]
+                        metric = metric[keep]
+                metric_prev = metric
 
             centered = (abs_da < 0.5) & (abs_dg < 0.5)
             if centered.any():
@@ -772,6 +974,7 @@ class BatchGeoRouter:
                 # Centered but not even nearly covered: the scalar
                 # walk deflects sideways -- recompute exactly.
                 fallback[idx[cen[~near]]] = True
+                cause[idx[cen[~near]]] = _CENTERED
                 keep = ~centered
                 _compact(keep)
                 if idx.size == 0:
@@ -787,29 +990,31 @@ class BatchGeoRouter:
                 np.where(dg > 0, _UP, _DOWN))
             nxt = table.neighbors[cur, direction]
 
-            if not table.healthy:
-                assert table.edge_up is not None
-                ok = table.edge_up[cur, direction]
+            if edge is not None:
+                ok = edge[cur, direction]
                 if not ok.all():
                     # Preferred link or endpoint is dead: the scalar
                     # walk deflects with the visited set -- recompute.
                     fallback[idx[~ok]] = True
+                    cause[idx[~ok]] = _DEAD_LINK
                     _compact(ok)
                     if idx.size == 0:
                         break
                     direction = direction[ok]
                     nxt = nxt[ok]
 
-            if not self._full_torus:
-                # Seam constellations: greedy walks can revisit; the
-                # scalar router then deflects.  Detect by prefix
-                # membership (every active packet has exactly ``step``
-                # hops, so the prefix is columns [0, step]) and hand
-                # those packets to the scalar path.
-                revisit = (paths[idx, :step + 1]
-                           == nxt[:, None]).any(axis=1)
+            if checking.any():
+                # Greedy walks can revisit; the scalar router then
+                # deflects.  Detect by prefix membership (every active
+                # packet has exactly ``step`` hops, so the prefix is
+                # columns [0, step]) and hand those packets to the
+                # scalar path.
+                revisit = checking.copy()
+                revisit[checking] = (paths[idx[checking], :step + 1]
+                                     == nxt[checking, None]).any(axis=1)
                 if revisit.any():
                     fallback[idx[revisit]] = True
+                    cause[idx[revisit]] = _SEAM_REVISIT
                     keep = ~revisit
                     _compact(keep)
                     if idx.size == 0:
@@ -831,6 +1036,13 @@ class BatchGeoRouter:
             cur = nxt
 
         if idx.size:
+            if self._full_torus:
+                # The last hop of a screened walk was never screened.
+                last = np.nonzero(~checking)[0]
+                back = last[(paths[idx[last], :self.max_hops]
+                             == cur[last, None]).any(axis=1)]
+                fallback[idx[back]] = True
+                cause[idx[back]] = _SEAM_REVISIT
             # max_hops levels exhausted: undelivered, with the partial
             # path/delay the walk accumulated (scalar semantics).
             delay[idx] = delay_a
@@ -840,14 +1052,18 @@ class BatchGeoRouter:
 
     def _exact_angles(self, table: NextHopTable, sats: np.ndarray,
                       lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Exact scalar-order haversine central angles for a subset."""
-        sub_lat = table.sub_lat[sats]
-        sd_lat = np.sin((lats - sub_lat) / 2.0)
-        sd_lon = np.sin((lons - table.sub_lon[sats]) / 2.0)
-        h = (sd_lat * sd_lat
-             + np.cos(sub_lat) * np.cos(lats) * (sd_lon * sd_lon))
-        np.clip(h, 0.0, 1.0, out=h)
-        return 2.0 * np.arcsin(np.sqrt(h))
+        """The scalar's own central angles for a subset.
+
+        Element by element through :func:`central_angle`: NumPy's
+        vectorised arcsin can differ from libm's in the last bit, and
+        these angles decide coverage at the threshold itself.  Only
+        packets near the threshold or centred on the grid get here.
+        """
+        return np.array([
+            central_angle(lat, lon, dest_lat, dest_lon)
+            for lat, lon, dest_lat, dest_lon in zip(
+                table.sub_lat[sats].tolist(), table.sub_lon[sats].tolist(),
+                lats.tolist(), lons.tolist())], dtype=float)
 
     def _finish(self, src: np.ndarray, dlat: np.ndarray,
                 dlon: np.ndarray, t: float,
@@ -856,10 +1072,11 @@ class BatchGeoRouter:
                 delay: np.ndarray, distance: np.ndarray,
                 paths: np.ndarray, path_len: np.ndarray,
                 fallback: np.ndarray,
-                normalized: bool = True) -> BatchRouteResult:
-        """Recompute flagged packets with the scalar reference walk."""
+                cause: np.ndarray) -> BatchRouteResult:
+        """Recompute the NumPy walk's flagged packets with the scalar
+        reference walk."""
         flagged = np.nonzero(fallback)[0]
-        self._count("routing.scalar_fallbacks", int(flagged.size))
+        self._count_fallbacks(cause, recomputed=int(flagged.size))
         for index in flagged:
             result = self.scalar.route(
                 int(src[index]), float(dlat[index]), float(dlon[index]),
@@ -879,7 +1096,18 @@ class BatchGeoRouter:
             path_len[index] = node_count
         return BatchRouteResult(delivered, degraded, delay, distance,
                                 paths, path_len, fallback,
-                                normalized=normalized)
+                                fallback_cause=cause)
+
+    def _count_fallbacks(self, cause: np.ndarray, recomputed: int) -> None:
+        """``routing.fallbacks{cause=...}`` per flagged packet, and
+        ``routing.scalar_fallbacks`` per packet the scalar walk
+        actually recomputed."""
+        if self.metrics is None:
+            return
+        counts = np.bincount(cause, minlength=len(FALLBACK_CAUSES) + 1)
+        for code, name in enumerate(FALLBACK_CAUSES, start=1):
+            self._count("routing.fallbacks", int(counts[code]), cause=name)
+        self._count("routing.scalar_fallbacks", recomputed)
 
 
 def batch_route_pairs(router: BatchGeoRouter,

@@ -19,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.orbits.constellation import Constellation, starlink
-from repro.orbits.groundstations import default_ground_stations
+from repro.orbits.constellation import starlink
 from repro.orbits.propagator import IdealPropagator
 from repro.topology.grid import GridTopology
 from repro.topology.routing import DijkstraRouter
@@ -29,10 +28,9 @@ from repro.topology.traffic import (
     gravity_demand,
     load_to_gateways,
 )
+from tests.walker_strategies import STATIONS, faulted_topologies
 
 nx = pytest.importorskip("networkx")
-
-STATIONS = default_ground_stations()
 
 
 def _nx_load_to_gateways(topology, t, demands):
@@ -73,37 +71,6 @@ def _nx_load_to_gateways(topology, t, demands):
             else:
                 load.add_path(best_path, demand)
     return load
-
-
-@st.composite
-def faulted_topologies(draw):
-    """A random Walker shell with random satellite/ISL/station faults."""
-    constellation = Constellation(
-        name="random",
-        num_planes=draw(st.integers(2, 9)),
-        sats_per_plane=draw(st.integers(2, 12)),
-        altitude_km=draw(st.floats(400.0, 1500.0)),
-        inclination_deg=draw(st.floats(30.0, 100.0)),
-        raan_spread=draw(st.sampled_from([2.0 * math.pi, math.pi])),
-        phasing_factor=draw(st.integers(0, 3)),
-        min_elevation_deg=draw(st.floats(0.0, 40.0)),
-    )
-    topology = GridTopology(IdealPropagator(constellation), STATIONS)
-    total = constellation.total_satellites
-    for sat in draw(st.sets(st.integers(0, total - 1),
-                            max_size=total // 2)):
-        topology.fail_satellite(sat)
-    for sat, direction in draw(st.lists(
-            st.tuples(st.integers(0, total - 1), st.integers(0, 3)),
-            max_size=total)):
-        neighbor = int(topology.neighbor_table[sat, direction])
-        if neighbor != sat:
-            topology.fail_isl(sat, neighbor)
-    for station in draw(st.sets(st.integers(0, len(STATIONS) - 1),
-                                max_size=len(STATIONS))):
-        topology.fail_ground_station(station)
-    t = draw(st.floats(0.0, 7200.0))
-    return topology, t
 
 
 class TestAgainstNetworkxOracle:
