@@ -16,8 +16,8 @@ Times four workloads on the 1584-satellite Starlink shell and emits
 * the waves that leave the greedy walk: OneWeb and Iridium (seam
   revisits) and Starlink with 2 % of its satellites failed (dead
   links), each with its fallbacks by cause and the number of packets
-  the scalar walk recomputed -- 0 whenever the compiled kernel is
-  loaded, since it deflects packets itself.
+  the scalar walk routed -- 0 whenever the compiled kernel is loaded,
+  since it deflects packets itself, and every packet without it.
 
 Every batch result is asserted bit-identical to the scalar walk on a
 sampled subset before any timing is trusted, so the speedup being
@@ -25,10 +25,9 @@ measured is the speedup of *the same answer*.
 
 Acceptance floors (with the compiled kernel): >= 20x over the scalar
 sweep, >= 1M routed packets/s on the bulk wave, and >= 10x on the
-epoch sweep.  Without a C compiler the numpy fallback must still
-clear 5x on the single-epoch sweep and 2x on the epoch sweep (the
-per-epoch waves are two orders of magnitude smaller, so the numpy
-walk amortises less per hop level).
+epoch sweep.  Without a C compiler the batch plane routes through the
+scalar walk itself, so it has no speed-up floor; the bit-checks and
+fallback accounting still apply.
 """
 
 import json
@@ -42,9 +41,13 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry
 from repro.orbits import iridium, make_propagator, oneweb, starlink
 from repro.topology._walk_kernel import load_kernel
-from repro.topology.batch_routing import FALLBACK_CAUSES, BatchGeoRouter
+from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
-from repro.topology.routing import RELAY_MAX_HOPS, GeospatialRouter
+from repro.topology.routing import (
+    FALLBACK_CAUSES,
+    RELAY_MAX_HOPS,
+    GeospatialRouter,
+)
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_routing.json"
 
@@ -129,8 +132,7 @@ def _deflection_row(factory, fault_fraction, kernel):
                 for cause in FALLBACK_CAUSES}
     recomputed = int(metrics.counter_value("routing.scalar_fallbacks"))
     assert sum(by_cause.values()) == int(wave.fallback.sum())
-    if kernel:
-        assert recomputed == 0
+    assert recomputed == (0 if kernel else DEFLECTION_PACKETS)
     seconds, _ = _best_of(
         lambda: batch.route_batch(src, lats, lons, ROUTING_T))
     return {
@@ -262,12 +264,9 @@ def test_batch_routing_throughput():
 
     assert table_builds == EPOCH_SWEEP_EPOCHS
 
-    # Acceptance floors for this PR's perf trajectory.
+    # Acceptance floors for the compiled kernel.
     if kernel:
         assert speedup >= 20.0
         assert sweep_speedup >= 10.0
         if not SMOKE:
             assert bulk_rate >= 1_000_000.0
-    else:
-        assert speedup >= 5.0
-        assert sweep_speedup >= 2.0

@@ -1,14 +1,12 @@
 """Optional compiled hop-walk kernel for the batch routing plane.
 
-The NumPy lock-step walk in :mod:`repro.topology.batch_routing` is
-portable, but each packet-hop costs on the order of a hundred
-elementwise array passes; on one core that caps routing in the low
-hundreds of thousands of packets per second.  This module compiles
-the whole of Algorithm 1 -- the greedy hop *and* the deflection branch
-of ``GeospatialRouter.route`` -- as a per-packet C loop over the
-shared :class:`NextHopTable` arrays, which brings a hop down to a few
-dozen nanoseconds and means the batch plane never calls the scalar
-walk while the kernel is loaded.
+The scalar walk (``GeospatialRouter.route``) pays a few microseconds
+of interpreter time per packet-hop, which caps routing at thousands
+of packets per second.  This module compiles the whole of Algorithm 1
+-- the greedy hop *and* the deflection branch of the scalar walk -- as
+a per-packet C loop over the shared :class:`NextHopTable` arrays,
+which brings a hop down to a few dozen nanoseconds and means the batch
+plane never calls the scalar walk while the kernel is loaded.
 
 Deflection
 ==========
@@ -52,15 +50,15 @@ The C source mirrors the scalar reference precisely:
   ``[0, 1]``).
 * Transcendentals come from the very libm the interpreter's ``math``
   module binds, and the build passes ``-ffp-contract=off`` so no FMA
-  contraction re-associates a sum the NumPy plane rounds twice.
+  contraction re-associates a sum the scalar walk rounds twice.
 
 The build is lazy and entirely optional: no C compiler, a failed
-compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the NumPy
-plane, whose results are bit-identical (the equivalence suite runs
-against both engines).  Compiled objects are cached by source hash
-under ``$REPRO_KERNEL_CACHE`` (default: a ``repro-kernels`` directory
-in the system temp dir), so each source revision compiles once per
-machine.
+compile, or ``REPRO_NO_CKERNEL=1`` all degrade silently to the scalar
+walk, packet by packet, whose results the kernel reproduces bit for
+bit (the equivalence suite runs against both).  Compiled objects are
+cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
+``repro-kernels`` directory in the system temp dir), so each source
+revision compiles once per machine.
 """
 
 from __future__ import annotations
@@ -107,8 +105,7 @@ static double wrap_signed(double a) {
  * fmod: for |d| < 2*pi the fmod inside Python's % returns d exactly,
  * so the modulo is one rounded +2*pi when negative; for d in
  * (-4*pi, -2*pi] the first +2*pi is exact (Sterbenz lemma), so a
- * second conditional add reproduces % bit-for-bit.  Same transform
- * the NumPy plane's _wrap_signed_diff uses. */
+ * second conditional add reproduces % bit-for-bit. */
 static double wrap_signed_diff(double d) {
     if (d <= -2.0 * K_TWO_PI || d >= K_TWO_PI)
         return wrap_signed(d);  /* out of proven range: exact path */
@@ -149,7 +146,7 @@ static void exact_representations(double lat, double lon, double band,
 }
 
 /* The scalar-order haversine central angle (same expression tree as
- * BatchGeoRouter._exact_angles / coordinates.central_angle). */
+ * coordinates.central_angle). */
 static double exact_angle(double sat_lat, double sat_lon,
                           double dest_lat, double dest_lon) {
     double sd_lat = sin((dest_lat - sat_lat) / 2.0);
@@ -234,7 +231,7 @@ static inline int hop_decision(double wa0, double wg0, double wa1, double wg1,
  * of line and the walk marks their branches unlikely; inlined into the
  * hop loop they cost the healthy walk several percent. */
 
-/* Fallback cause codes (BatchGeoRouter.FALLBACK_CAUSES, 1-based). */
+/* Fallback cause codes (routing.FALLBACK_CAUSES, 1-based). */
 enum { CAUSE_CENTERED = 1, CAUSE_DEAD_LINK = 2, CAUSE_SEAM_REVISIT = 3,
        CAUSE_PATH_CAPACITY = 4 };
 
@@ -448,7 +445,7 @@ int64_t walk_chunk(
 """
 
 #: -O2 without fast-math; contraction off so a*b+c never fuses into an
-#: FMA the NumPy plane would have rounded in two steps.
+#: FMA the scalar walk would have rounded in two steps.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 _lock = threading.Lock()
@@ -534,11 +531,12 @@ def _compile() -> Optional[ctypes.CDLL]:
 def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled walk kernel, or ``None`` when unavailable.
 
-    ``None`` means: disabled via ``REPRO_NO_CKERNEL``, no C compiler
-    on PATH, or the build failed -- callers fall back to the NumPy
-    walk in every case.  The outcome (either way) is memoised.
+    ``None`` means: disabled via ``REPRO_NO_CKERNEL`` (read on every
+    call), no C compiler on PATH, or the build failed -- callers fall
+    back to the scalar walk in every case.  The build outcome (either
+    way) is memoised.
     """
-    global _cached, _load_attempted  # repro: ignore[shard-purity] -- once-only lazy compile; kernel is bit-exact vs the NumPy fallback
+    global _cached, _load_attempted  # repro: ignore[shard-purity] -- once-only lazy compile; kernel is bit-exact vs the scalar walk
     if os.environ.get("REPRO_NO_CKERNEL"):
         return None
     with _lock:

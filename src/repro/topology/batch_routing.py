@@ -1,43 +1,39 @@
-"""Vectorized batch packet-routing plane (Algorithm 1 as array programs).
+"""Batch packet-routing plane (Algorithm 1 over packet arrays).
 
 The scalar :class:`~repro.topology.routing.GeospatialRouter` walks one
 packet at a time through a Python-level hop loop; at Starlink scale
 that caps routing throughput orders of magnitude below what the
 stateless design can sustain.  This module routes an ``(N,)`` *batch*
-of packets per call: every per-hop decision of Algorithm 1 -- coverage
-test, both-representation hop offsets, dominant-dimension direction
-pick, neighbour gather, delay accumulation -- is one NumPy operation
-over the still-active packets, so the Python interpreter executes a
-handful of statements per *hop level* instead of per packet-hop.
+of packets per call through the compiled walk kernel
+(:mod:`._walk_kernel`): one C loop per packet over per-epoch arrays,
+so the interpreter runs a handful of statements per batch instead of
+per packet-hop.
 
 Bit-match contract
 ==================
 ``route_batch(...).results()`` is element-for-element identical
 (paths, verdicts, delays, distances) to calling
 ``GeospatialRouter.route`` in a loop, which is what the equivalence
-suites assert.  The batch plane has two media:
+suites assert.  Algorithm 1 has one fast medium and one reference:
 
-* the compiled walk kernel (:mod:`._walk_kernel`) replays all of
-  Algorithm 1 operation for operation -- the greedy hop, and the
-  deflection around dead satellites/links, ``avoid_links`` and path
-  revisits -- so with the kernel loaded the scalar walk is never
-  called;
-* the NumPy lock-step walk (the no-compiler path) replays the greedy
-  hop only.  A packet that would deflect is flagged and recomputed by
-  the scalar router, alone.
-
-Both read one edge mask per call: the table's fault liveness with the
-caller's ``avoid_links`` cleared, so only packets whose greedy walk
-meets an avoided link leave it.
+* the compiled walk kernel replays all of it operation for operation
+  -- the greedy hop, and the deflection around dead satellites/links,
+  ``avoid_links`` and path revisits -- reading one edge mask per call
+  (the table's fault liveness with the caller's ``avoid_links``
+  cleared), so with the kernel loaded the scalar walk is never called;
+* without the kernel (no C compiler, a failed build, or
+  ``REPRO_NO_CKERNEL`` set) every packet is routed by the scalar walk
+  itself, at scalar speed.
 
 ``BatchRouteResult.fallback`` marks the packets that left the greedy
 walk: centred but not even nearly covered, preferred edge dead,
 preferred neighbour already on the path, or -- kernel only -- a walk
 longer than its 64-node first-pass path buffer, which the kernel then
 re-walks with a full-width one.  ``fallback_cause`` holds each flagged
-packet's first cause, and the ``routing.fallbacks{cause=...}``
-counters total them.  ``routing.scalar_fallbacks`` counts only the
-packets the scalar walk actually recomputed: 0 on the kernel path.
+packet's first cause (the two media agree on every cause but
+``path_capacity``), and the ``routing.fallbacks{cause=...}`` counters
+total them.  ``routing.scalar_fallbacks`` counts the packets the
+scalar walk routed: 0 on the kernel path, every packet without it.
 
 Per-epoch next-hop tables
 =========================
@@ -72,9 +68,8 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..constants import SPEED_OF_LIGHT_KM_S, TWO_PI
+from ..constants import SPEED_OF_LIGHT_KM_S
 from ..obs.metrics import MetricsRegistry
-from ..orbits.coordinates import central_angle
 from ..orbits.snapshot import (
     ConstellationSnapshot,
     snapshot_for,
@@ -82,7 +77,7 @@ from ..orbits.snapshot import (
 )
 from ._walk_kernel import load_kernel
 from .grid import GridTopology
-from .routing import GeospatialRouter, RouteResult
+from .routing import FALLBACK_CAUSES, GeospatialRouter, RouteResult
 
 __all__ = [
     "BatchGeoRouter",
@@ -97,116 +92,23 @@ __all__ = [
 BATCH_SIZE_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0,
                       16384.0, 65536.0, 262144.0, 1048576.0)
 
-#: Why a packet left the greedy walk, in cause-code order (code =
-#: index + 1; 0 = never flagged): centred on the grid but not even
-#: nearly covered, preferred edge dead (faults or ``avoid_links``),
-#: preferred neighbour already on the path, or (kernel path only) a
-#: walk longer than the first-pass path buffer.
-FALLBACK_CAUSES = ("centered", "dead_link", "seam_revisit",
-                   "path_capacity")
-_CENTERED, _DEAD_LINK, _SEAM_REVISIT = 1, 2, 3
-
 #: Path-buffer width of the kernel's first pass; rows that outgrow it
 #: are re-walked with a ``max_hops + 1`` buffer.
 _FIRST_PASS_CAPACITY = 64
 
-#: Column order of the neighbour/hop tables (matches
-#: :data:`repro.orbits.snapshot.GRID_DIRECTIONS`).
-_UP, _DOWN, _LEFT, _RIGHT = 0, 1, 2, 3
+#: Packets per kernel call; results are independent per packet, so
+#: any chunking is bitwise neutral.
+_CHUNK_SIZE = 65536
+
+#: Next-hop tables kept in the LRU (sweeps grow it to their epochs).
+_TABLE_CACHE_SIZE = 8
 
 #: Half-width of the guard band (in cosine space) around the coverage
-#: threshold inside which the dot-product screen defers to the exact
-#: scalar haversine.  Both formulas agree with the true central angle
+#: threshold inside which the kernel's dot-product screen defers to
+#: the exact haversine.  Both formulas agree with the true central angle
 #: to ~1e-14, so 1e-9 is over a thousand times wider than any possible
 #: disagreement -- decisions outside the band are provably identical.
 _COVERAGE_GUARD = 1e-9
-
-
-def _wrap_signed_diff(diff: np.ndarray) -> np.ndarray:
-    """Bit-exact :func:`repro.orbits.coordinates.wrap_signed` for
-    angle *differences* in ``(-4*pi, 2*pi)``.
-
-    The scalar computes ``diff % TWO_PI`` then conditionally subtracts
-    ``TWO_PI``.  For ``|diff| < TWO_PI`` the ``fmod`` inside Python's
-    ``%`` is exact (returns ``diff`` unchanged), so the modulo equals
-    ``diff + TWO_PI`` (one rounded add) when negative and ``diff``
-    otherwise.  For ``diff`` in ``(-4*pi, -2*pi]`` the first
-    ``+TWO_PI`` is *exact* by the Sterbenz lemma (the operands are
-    within a factor of two), so applying the conditional add twice
-    reproduces ``%`` bit-for-bit -- without the far costlier fmod.
-    All (alpha, gamma) difference inputs here lie in that range:
-    minuends come from ``wrap_angle``/``asin``/``pi - asin`` (all
-    ``>= -pi/2``) and subtrahends from ``wrap_angle`` (``< 2*pi``).
-    """
-    wrapped = np.where(diff < 0.0, diff + TWO_PI, diff)
-    negative = wrapped < 0.0
-    if negative.any():
-        wrapped[negative] += TWO_PI
-    wrapped[wrapped > math.pi] -= TWO_PI
-    return wrapped
-
-
-#: Half-width of the band around each greedy decision boundary (in
-#: hop units) inside which the NumPy walk re-derives a packet's
-#: destination representations with the scalar code.  NumPy's
-#: vectorised arcsin/arctan2 can be one ulp off libm's, which moves a
-#: hop offset by far less than 1e-12; outside the band the decision
-#: cannot change.
-_TIE_GUARD = 1e-9
-
-
-def _offsets(table: "NextHopTable", cur: np.ndarray, a0: np.ndarray,
-             g0: np.ndarray, a1: np.ndarray, g1: np.ndarray,
-             delta_raan: float, delta_phase: float
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                        np.ndarray]:
-    """Algorithm 1's hop offsets at satellites ``cur``, the scalar's
-    arithmetic elementwise.
-
-    Returns ``(da, dg, |da|, |dg|)`` of the better representation
-    (strict ``<``) and the ``(2, m)`` per-representation metrics
-    ``|da| + |dg|``.  The four signed differences are wrapped as one
-    stacked ``(4, m)`` program; only the gamma-ascending row (1) can
-    sit below -2*pi and need the second (exact, Sterbenz) add.
-    """
-    alpha_s = table.alpha[cur]
-    gamma_s = table.gamma[cur]
-    diffs = np.empty((4, cur.size))
-    np.subtract(a0, alpha_s, out=diffs[0])
-    np.subtract(g0, gamma_s, out=diffs[1])
-    np.subtract(a1, alpha_s, out=diffs[2])
-    np.subtract(g1, gamma_s, out=diffs[3])
-    wrapped = np.where(diffs < 0.0, diffs + TWO_PI, diffs)
-    row1 = wrapped[1]
-    negative = row1 < 0.0
-    if negative.any():
-        row1[negative] += TWO_PI
-    offsets = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
-    offsets[0] /= delta_raan
-    offsets[1] /= delta_phase
-    offsets[2] /= delta_raan
-    offsets[3] /= delta_phase
-    magnitudes = np.abs(offsets)
-    sums = np.stack([magnitudes[0] + magnitudes[1],
-                     magnitudes[2] + magnitudes[3]])
-    use_desc = sums[1] < sums[0]
-    da = np.where(use_desc, offsets[2], offsets[0])
-    dg = np.where(use_desc, offsets[3], offsets[1])
-    abs_da = np.where(use_desc, magnitudes[2], magnitudes[0])
-    abs_dg = np.where(use_desc, magnitudes[3], magnitudes[1])
-    return da, dg, abs_da, abs_dg, sums
-
-
-def _near_tie(abs_da: np.ndarray, abs_dg: np.ndarray,
-              sums: np.ndarray) -> np.ndarray:
-    """Packets with a greedy decision inside the ``_TIE_GUARD`` band:
-    representation pick, centred test or dominant dimension."""
-    return ((np.abs(sums[1] - sums[0])
-             <= _TIE_GUARD * (1.0 + sums[0] + sums[1]))
-            | (np.abs(abs_da - 0.5) <= _TIE_GUARD)
-            | (np.abs(abs_dg - 0.5) <= _TIE_GUARD)
-            | (np.abs(abs_da - abs_dg)
-               <= _TIE_GUARD * (1.0 + abs_da + abs_dg)))
 
 
 class NextHopTable:
@@ -241,10 +143,10 @@ class NextHopTable:
         subs = snapshot.subpoints
         self.sub_lat = np.ascontiguousarray(subs[:, 0])
         self.sub_lon = np.ascontiguousarray(subs[:, 1])
-        # Unit position vectors: the walk's coverage *screen* is a dot
-        # product against the destination radial (far cheaper than a
-        # gathered haversine); only near-threshold packets re-test with
-        # the exact scalar formula.
+        # Unit position vectors: the kernel's coverage *screen* is a
+        # dot product against the destination radial (far cheaper than
+        # a haversine); only near-threshold packets re-test with the
+        # exact scalar formula.
         pos = snapshot.positions_ecef
         norm = np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1]
                        + pos[:, 2] * pos[:, 2])
@@ -348,44 +250,20 @@ class BatchGeoRouter:
     """Algorithm 1 over packet batches, next-hop tables per epoch.
 
     Wraps a scalar :class:`GeospatialRouter` (sharing its coverage
-    geometry and ``degraded_slack``) both as the NumPy walk's
-    per-packet fallback for deflections and as the reference the
+    geometry and ``degraded_slack``) both as the medium that routes
+    when no compiled kernel is available and as the reference the
     equivalence suite compares against.
     """
 
     def __init__(self, topology: GridTopology, max_hops: int = 256,
-                 metrics: Optional[MetricsRegistry] = None,
-                 table_cache_size: int = 8,
-                 chunk_size: int = 65536,
-                 use_kernel: Optional[bool] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.topology = topology
         self.scalar = GeospatialRouter(topology, max_hops=max_hops)
         self.max_hops = max_hops
         self.metrics = metrics
-        #: Packets per lock-step walk; large batches are split so the
-        #: per-hop working set stays cache-resident.  Results are
-        #: independent per packet, so any chunking is bitwise neutral.
-        self.chunk_size = max(1, chunk_size)
-        #: ``None``: use the compiled walk kernel when one is
-        #: available, else the NumPy walk (they are bit-identical).
-        #: ``True``: require the kernel; ``False``: never use it.
-        self._use_kernel = use_kernel
-        self._kernel_lib: Optional[ctypes.CDLL] = None
-        self._kernel_resolved = False
-        self._table_cache_size = max(1, table_cache_size)
+        self._table_cache_size = _TABLE_CACHE_SIZE
         self._tables: "OrderedDict[Tuple[float, int], NextHopTable]" = (
             OrderedDict())
-        c = topology.constellation
-        #: Full-torus Walker shells (delta-RAAN spans the whole circle,
-        #: e.g. Starlink/Kuiper deltas): a greedy hop almost always
-        #: strictly decreases the hop metric, and while it does the
-        #: walk cannot revisit a node, so the NumPy walk scans the path
-        #: prefix only after a hop that fails to decrease it (exact
-        #: half-cell ties, rings of two).  Star constellations
-        #: (OneWeb/Iridium, raan_spread = pi) have a seam where greedy
-        #: walks do revisit, and get the scan at every step.
-        self._full_torus = math.isclose(
-            c.delta_raan * c.num_planes, TWO_PI, rel_tol=1e-9)
         topology.add_fault_listener(self.invalidate)
 
     # -- table cache ---------------------------------------------------------
@@ -401,20 +279,6 @@ class BatchGeoRouter:
     def _count(self, name: str, amount: int = 1, **labels: object) -> None:
         if self.metrics is not None and amount:
             self.metrics.counter(name, **labels).inc(amount)
-
-    def _kernel_handle(self) -> Optional[ctypes.CDLL]:
-        """The compiled walk kernel, or ``None`` for the NumPy walk."""
-        if self._use_kernel is False:
-            return None
-        if not self._kernel_resolved:
-            self._kernel_resolved = True
-            self._kernel_lib = load_kernel()
-        if self._use_kernel is True and self._kernel_lib is None:
-            raise RuntimeError(
-                "use_kernel=True but no compiled walk kernel is "
-                "available (no C compiler, failed build, or "
-                "REPRO_NO_CKERNEL set)")
-        return self._kernel_lib
 
     def _table(self, t: float) -> NextHopTable:
         key = (float(t), self.topology.fault_epoch)
@@ -450,15 +314,12 @@ class BatchGeoRouter:
                     dest_lons: Sequence[float], t: float,
                     avoid_links: Optional[Set[FrozenSet[int]]] = None
                     ) -> BatchRouteResult:
-        """Route ``(N,)`` packets in lock-step vectorized hops.
+        """Route ``(N,)`` packets that share one epoch ``t``.
 
-        All packets share one epoch ``t``.  Per hop level the walk
-        does: one gathered haversine coverage test, one
-        both-representation offset computation, one direction pick,
-        one neighbour/hop-length gather -- each a single NumPy call
-        over the packets still in flight (or the compiled kernel's
-        per-packet loop, deflections included).  ``avoid_links``
-        marks extra links as down for this call only.
+        The compiled kernel walks each packet, deflections included,
+        in chunks of ``_CHUNK_SIZE`` packets; without it every packet
+        goes through the scalar walk.  ``avoid_links`` marks extra
+        links as down for this call only.
         """
         src = np.ascontiguousarray(np.asarray(src_sats, dtype=np.int64))
         dlat = np.ascontiguousarray(np.asarray(dest_lats, dtype=float))
@@ -490,68 +351,64 @@ class BatchGeoRouter:
                                     fallback_cause=cause)
 
         table = self._table(t)
+        kernel = load_kernel()
+        if kernel is None:
+            return self._route_scalar(src, dlat, dlon, t, avoid_links)
         edge = self._edge_mask(table, avoid_links)
-        kernel = self._kernel_handle()
-        if kernel is not None:
-            # One raw path buffer for the whole batch; each chunk's
-            # rows are a contiguous slice the kernel writes in place,
-            # so there is no per-chunk stitch copy at all.  -1
-            # normalisation of never-written cells happens lazily on
-            # first path_buffer access (see BatchRouteResult).
-            #
-            # The capacity is deliberately small: an uninitialised
-            # 64-column buffer costs far less than a (max_hops + 1)-
-            # column one, and +Grid walks on the paper's shells mostly
-            # stay under 64 nodes.  The few rows that outgrow it are
-            # re-walked below with a full-width buffer.
-            cap = min(self.max_hops + 1, _FIRST_PASS_CAPACITY)
-            paths = np.empty((n, cap), dtype=np.int32)
-            self._count("routing.kernel_packets", n)
-            overflow = 0
-            for lo in range(0, n, self.chunk_size):
-                hi = min(n, lo + self.chunk_size)
-                overflow += self._route_chunk_kernel(
-                    kernel, table, edge, src[lo:hi], dlat[lo:hi],
-                    dlon[lo:hi], delivered[lo:hi], degraded[lo:hi],
-                    delay[lo:hi], distance[lo:hi], path_len[lo:hi],
-                    fallback[lo:hi], cause[lo:hi], paths[lo:hi])
-            if overflow:
-                paths = self._rewalk_long(kernel, table, edge, src, dlat,
-                                          dlon, delivered, degraded,
-                                          delay, distance, path_len,
-                                          paths)
-            self._count_fallbacks(cause, recomputed=0)
-            return BatchRouteResult(delivered, degraded, delay, distance,
-                                    paths, path_len, fallback,
-                                    normalized=False,
-                                    fallback_cause=cause)
-        if n <= self.chunk_size:
-            paths = self._route_chunk(table, edge, src, dlat, dlon,
-                                      delivered, degraded, delay,
-                                      distance, path_len, fallback, cause)
-        else:
-            # Chunking keeps the per-hop working set inside the cache
-            # hierarchy; per-packet results are independent, so chunked
-            # and unchunked batches are bitwise identical.
-            chunk_paths = []
-            for lo in range(0, n, self.chunk_size):
-                hi = min(n, lo + self.chunk_size)
-                chunk_paths.append(self._route_chunk(
-                    table, edge, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
-                    delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
-                    distance[lo:hi], path_len[lo:hi], fallback[lo:hi],
-                    cause[lo:hi]))
-            width = max(p.shape[1] for p in chunk_paths)
-            paths = np.empty((n, width), dtype=np.int32)
-            for k, chunk in enumerate(chunk_paths):
-                lo = k * self.chunk_size
-                hi = lo + chunk.shape[0]
-                paths[lo:hi, :chunk.shape[1]] = chunk
-                if chunk.shape[1] < width:
-                    paths[lo:hi, chunk.shape[1]:] = -1
-        return self._finish(src, dlat, dlon, t, avoid_links, delivered,
-                            degraded, delay, distance, paths, path_len,
-                            fallback, cause)
+        # One raw path buffer for the whole batch; each chunk's rows are
+        # a contiguous slice the kernel writes in place, so there is no
+        # per-chunk stitch copy at all.  -1 normalisation of
+        # never-written cells happens lazily on first path_buffer
+        # access (see BatchRouteResult).
+        #
+        # The capacity is deliberately small: an uninitialised 64-column
+        # buffer costs far less than a (max_hops + 1)-column one, and
+        # +Grid walks on the paper's shells mostly stay under 64 nodes.
+        # The few rows that outgrow it are re-walked below with a
+        # full-width buffer.
+        cap = min(self.max_hops + 1, _FIRST_PASS_CAPACITY)
+        paths = np.empty((n, cap), dtype=np.int32)
+        self._count("routing.kernel_packets", n)
+        overflow = 0
+        for lo in range(0, n, _CHUNK_SIZE):
+            hi = min(n, lo + _CHUNK_SIZE)
+            overflow += self._route_chunk_kernel(
+                kernel, table, edge, src[lo:hi], dlat[lo:hi], dlon[lo:hi],
+                delivered[lo:hi], degraded[lo:hi], delay[lo:hi],
+                distance[lo:hi], path_len[lo:hi], fallback[lo:hi],
+                cause[lo:hi], paths[lo:hi])
+        if overflow:
+            paths = self._rewalk_long(kernel, table, edge, src, dlat, dlon,
+                                      delivered, degraded, delay, distance,
+                                      path_len, paths)
+        self._count_fallbacks(cause, scalar=0)
+        return BatchRouteResult(delivered, degraded, delay, distance,
+                                paths, path_len, fallback,
+                                normalized=False, fallback_cause=cause)
+
+    def _route_scalar(self, src: np.ndarray, dlat: np.ndarray,
+                      dlon: np.ndarray, t: float,
+                      avoid_links: Optional[Set[FrozenSet[int]]]
+                      ) -> BatchRouteResult:
+        """Every packet through the scalar walk (no compiled kernel),
+        each with the cause code of its first deflection."""
+        walks = [self.scalar._walk(s, la, lo, t, avoid_links)
+                 for s, la, lo in zip(src.tolist(), dlat.tolist(),
+                                      dlon.tolist())]
+        results = [result for result, _ in walks]
+        path_len = np.array([len(r.path) for r in results], dtype=np.int32)
+        paths = np.full((len(results), int(path_len.max())), -1,
+                        dtype=np.int32)
+        for row, result in zip(paths, results):
+            row[:len(result.path)] = result.path
+        cause = np.array([code for _, code in walks], dtype=np.uint8)
+        self._count_fallbacks(cause, scalar=len(results))
+        return BatchRouteResult(
+            np.array([r.delivered for r in results], dtype=bool),
+            np.array([r.degraded for r in results], dtype=bool),
+            np.array([r.delay_s for r in results], dtype=float),
+            np.array([r.distance_km for r in results], dtype=float),
+            paths, path_len, cause > 0, fallback_cause=cause)
 
     def _edge_mask(self, table: NextHopTable,
                    avoid_links: Optional[Set[FrozenSet[int]]]
@@ -598,8 +455,7 @@ class BatchGeoRouter:
 
         The table LRU is sized to the sweep before the first wave
         routes: a 24-epoch sweep over the default 8-entry cache would
-        otherwise evict every table it builds before a second pass
-        (a repeated sweep, or the scalar fallback of a later epoch)
+        otherwise evict every table it builds before a repeated sweep
         could reuse it.  The capacity only grows, and sweeps that
         revisit their epochs rebuild nothing (``routing.table_builds``
         counts exactly one build per distinct ``(t, fault_epoch)``).
@@ -626,8 +482,8 @@ class BatchGeoRouter:
             self._table_cache_size = int(epochs.size)
         # Build every epoch's snapshot up front through the
         # sweep-sized prefetch, so neither the table builds below nor
-        # the scalar fallbacks inside them can thrash the snapshot LRU
-        # on sweeps wider than its default capacity.
+        # the scalar walk (without the kernel) can thrash the snapshot
+        # LRU on sweeps wider than its default capacity.
         snapshots_for(self.topology.propagator,
                       [float(t) for t in epochs])
 
@@ -816,307 +672,14 @@ class BatchGeoRouter:
         paths[rows, :width] = long_paths[:, :width]
         return paths
 
-    def _route_chunk(self, table: NextHopTable,
-                     edge: Optional[np.ndarray], src: np.ndarray,
-                     dlat: np.ndarray, dlon: np.ndarray,
-                     delivered: np.ndarray, degraded: np.ndarray,
-                     delay: np.ndarray, distance: np.ndarray,
-                     path_len: np.ndarray, fallback: np.ndarray,
-                     cause: np.ndarray) -> np.ndarray:
-        """Lock-step greedy walk of one chunk; scatters into the output
-        views and returns the chunk's path buffer.
-
-        Packets that would deflect are flagged (with their cause) and
-        left for :meth:`_finish` to recompute with the scalar walk.
-        """
-        n = src.shape[0]
-        theta = self.scalar.coverage_angle
-        slack_theta = theta * self.scalar.degraded_slack
-        cos_in = math.cos(theta) + _COVERAGE_GUARD
-        cos_out = math.cos(theta) - _COVERAGE_GUARD
-        c = self.topology.constellation
-        delta_raan = c.delta_raan
-        delta_phase = c.delta_phase
-        a0, g0, a1, g1 = self.scalar.system.both_representations_batch(
-            dlat, dlon)
-        cos_dlat = np.cos(dlat)
-        unit_x = cos_dlat * np.cos(dlon)
-        unit_y = cos_dlat * np.sin(dlon)
-        unit_z = np.sin(dlat)
-
-        capacity = min(self.max_hops + 1, 64)
-        paths = np.full((n, capacity), -1, dtype=np.int32)
-        paths[:, 0] = src
-
-        # Compacted in-flight state: element k of every array below is
-        # the same packet; ``idx`` maps it back to its chunk slot.
-        # Retired packets are filtered out so each hop level touches
-        # only packets still walking.
-        idx = np.arange(n)
-        cur = src.astype(np.int32)
-        delay_a = np.zeros(n, dtype=float)
-        dist_a = np.zeros(n, dtype=float)
-        # Packets whose next hop is checked against the path prefix
-        # (every packet on seam shells), and each packet's hop metric
-        # at its previous node (the full-torus revisit screen).
-        checking = np.full(n, not self._full_torus)
-        metric_prev = np.full(n, np.inf)
-        # Packets whose (a0, g0, a1, g1) are the scalar's own.
-        exact = np.zeros(n, dtype=bool)
-
-        def _compact(keep: np.ndarray) -> None:
-            nonlocal idx, cur, delay_a, dist_a, a0, g0, a1, g1
-            nonlocal unit_x, unit_y, unit_z, checking, metric_prev, exact
-            idx = idx[keep]
-            cur = cur[keep]
-            checking = checking[keep]
-            metric_prev = metric_prev[keep]
-            exact = exact[keep]
-            delay_a = delay_a[keep]
-            dist_a = dist_a[keep]
-            a0 = a0[keep]
-            g0 = g0[keep]
-            a1 = a1[keep]
-            g1 = g1[keep]
-            unit_x = unit_x[keep]
-            unit_y = unit_y[keep]
-            unit_z = unit_z[keep]
-
-        for step in range(self.max_hops):
-            if idx.size == 0:
-                break
-            # Lines 1-2: coverage.  Screen with a dot product against
-            # the destination radial (monotone in the central angle);
-            # only packets inside the guard band around the threshold
-            # re-test with the exact scalar haversine, so the decision
-            # is bit-identical while the hot path stays transcendental-
-            # free.
-            dot = table.unit_x[cur] * unit_x
-            dot += table.unit_y[cur] * unit_y
-            dot += table.unit_z[cur] * unit_z
-            covered = dot >= cos_in
-            border = (dot > cos_out) & ~covered
-            if border.any():
-                b = np.nonzero(border)[0]
-                covered[b] = self._exact_angles(
-                    table, cur[b], dlat[idx[b]], dlon[idx[b]]) <= theta
-            if covered.any():
-                done = idx[covered]
-                delivered[done] = True
-                delay[done] = delay_a[covered]
-                distance[done] = dist_a[covered]
-                path_len[done] = step + 1
-                _compact(~covered)
-                if idx.size == 0:
-                    break
-
-            # Lines 3-10: both-representation offsets, strict-< pick.
-            da, dg, abs_da, abs_dg, sums = _offsets(
-                table, cur, a0, g0, a1, g1, delta_raan, delta_phase)
-            # NumPy's representations may differ from the scalar's in
-            # the last bit; harmless unless a decision is within a
-            # hair of a tie, where those packets switch to the
-            # scalar's own (for the rest of their walk).
-            switched = np.nonzero(
-                ~exact & _near_tie(abs_da, abs_dg, sums))[0]
-            if switched.size:
-                for k in switched.tolist():
-                    (a0[k], g0[k]), (a1[k], g1[k]) = (
-                        self.scalar.system.both_representations(
-                            float(dlat[idx[k]]), float(dlon[idx[k]])))
-                exact[switched] = True
-                da, dg, abs_da, abs_dg, sums = _offsets(
-                    table, cur, a0, g0, a1, g1, delta_raan, delta_phase)
-            metric = np.minimum(sums[0], sums[1])
-
-            if self._full_torus:
-                # While a packet's hop metric strictly decreases no
-                # node can repeat; where it did not (or the metric
-                # itself just changed with the representations), check
-                # whether the hop into ``cur`` was a revisit (the
-                # scalar walk would have deflected instead) and scan
-                # from now on.
-                stalled = ~checking & ~(metric < metric_prev)
-                stalled[switched] = ~checking[switched]
-                stalled = np.nonzero(stalled)[0]
-                if stalled.size:
-                    checking[stalled] = True
-                    back = stalled[(paths[idx[stalled], :step]
-                                    == cur[stalled, None]).any(axis=1)]
-                    if back.size:
-                        fallback[idx[back]] = True
-                        cause[idx[back]] = _SEAM_REVISIT
-                        keep = np.ones(idx.size, dtype=bool)
-                        keep[back] = False
-                        _compact(keep)
-                        if idx.size == 0:
-                            break
-                        da = da[keep]
-                        dg = dg[keep]
-                        abs_da = abs_da[keep]
-                        abs_dg = abs_dg[keep]
-                        metric = metric[keep]
-                metric_prev = metric
-
-            centered = (abs_da < 0.5) & (abs_dg < 0.5)
-            if centered.any():
-                cen = np.nonzero(centered)[0]
-                near = (self._exact_angles(table, cur[cen],
-                                           dlat[idx[cen]],
-                                           dlon[idx[cen]])
-                        <= slack_theta)
-                done = idx[cen[near]]
-                delivered[done] = True
-                degraded[done] = True
-                delay[done] = delay_a[cen[near]]
-                distance[done] = dist_a[cen[near]]
-                path_len[done] = step + 1
-                # Centered but not even nearly covered: the scalar
-                # walk deflects sideways -- recompute exactly.
-                fallback[idx[cen[~near]]] = True
-                cause[idx[cen[~near]]] = _CENTERED
-                keep = ~centered
-                _compact(keep)
-                if idx.size == 0:
-                    break
-                da = da[keep]
-                dg = dg[keep]
-                abs_da = abs_da[keep]
-                abs_dg = abs_dg[keep]
-
-            direction = np.where(
-                abs_da > abs_dg,
-                np.where(da > 0, _RIGHT, _LEFT),
-                np.where(dg > 0, _UP, _DOWN))
-            nxt = table.neighbors[cur, direction]
-
-            if edge is not None:
-                ok = edge[cur, direction]
-                if not ok.all():
-                    # Preferred link or endpoint is dead: the scalar
-                    # walk deflects with the visited set -- recompute.
-                    fallback[idx[~ok]] = True
-                    cause[idx[~ok]] = _DEAD_LINK
-                    _compact(ok)
-                    if idx.size == 0:
-                        break
-                    direction = direction[ok]
-                    nxt = nxt[ok]
-
-            if checking.any():
-                # Greedy walks can revisit; the scalar router then
-                # deflects.  Detect by prefix membership (every active
-                # packet has exactly ``step`` hops, so the prefix is
-                # columns [0, step]) and hand those packets to the
-                # scalar path.
-                revisit = checking.copy()
-                revisit[checking] = (paths[idx[checking], :step + 1]
-                                     == nxt[checking, None]).any(axis=1)
-                if revisit.any():
-                    fallback[idx[revisit]] = True
-                    cause[idx[revisit]] = _SEAM_REVISIT
-                    keep = ~revisit
-                    _compact(keep)
-                    if idx.size == 0:
-                        break
-                    direction = direction[keep]
-                    nxt = nxt[keep]
-
-            # Per-edge delay precomputed at table build with the same
-            # operands/rounding as the scalar's per-hop divide.
-            delay_a += table.hop_delay_s[cur, direction]
-            dist_a += table.hop_km[cur, direction]
-            if step + 1 >= capacity:
-                grow = min(self.max_hops + 1, capacity * 2)
-                paths = np.concatenate(
-                    [paths, np.full((n, grow - capacity), -1,
-                                    dtype=np.int32)], axis=1)
-                capacity = grow
-            paths[idx, step + 1] = nxt
-            cur = nxt
-
-        if idx.size:
-            if self._full_torus:
-                # The last hop of a screened walk was never screened.
-                last = np.nonzero(~checking)[0]
-                back = last[(paths[idx[last], :self.max_hops]
-                             == cur[last, None]).any(axis=1)]
-                fallback[idx[back]] = True
-                cause[idx[back]] = _SEAM_REVISIT
-            # max_hops levels exhausted: undelivered, with the partial
-            # path/delay the walk accumulated (scalar semantics).
-            delay[idx] = delay_a
-            distance[idx] = dist_a
-            path_len[idx] = self.max_hops + 1
-        return paths
-
-    def _exact_angles(self, table: NextHopTable, sats: np.ndarray,
-                      lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """The scalar's own central angles for a subset.
-
-        Element by element through :func:`central_angle`: NumPy's
-        vectorised arcsin can differ from libm's in the last bit, and
-        these angles decide coverage at the threshold itself.  Only
-        packets near the threshold or centred on the grid get here.
-        """
-        return np.array([
-            central_angle(lat, lon, dest_lat, dest_lon)
-            for lat, lon, dest_lat, dest_lon in zip(
-                table.sub_lat[sats].tolist(), table.sub_lon[sats].tolist(),
-                lats.tolist(), lons.tolist())], dtype=float)
-
-    def _finish(self, src: np.ndarray, dlat: np.ndarray,
-                dlon: np.ndarray, t: float,
-                avoid_links: Optional[Set[FrozenSet[int]]],
-                delivered: np.ndarray, degraded: np.ndarray,
-                delay: np.ndarray, distance: np.ndarray,
-                paths: np.ndarray, path_len: np.ndarray,
-                fallback: np.ndarray,
-                cause: np.ndarray) -> BatchRouteResult:
-        """Recompute the NumPy walk's flagged packets with the scalar
-        reference walk."""
-        flagged = np.nonzero(fallback)[0]
-        self._count_fallbacks(cause, recomputed=int(flagged.size))
-        for index in flagged:
-            result = self.scalar.route(
-                int(src[index]), float(dlat[index]), float(dlon[index]),
-                t, avoid_links=avoid_links)
-            delivered[index] = result.delivered
-            degraded[index] = result.degraded
-            delay[index] = result.delay_s
-            distance[index] = result.distance_km
-            node_count = len(result.path)
-            if node_count > paths.shape[1]:
-                paths = np.concatenate(
-                    [paths, np.full((paths.shape[0],
-                                     node_count - paths.shape[1]),
-                                    -1, dtype=np.int32)], axis=1)
-            paths[index, :node_count] = result.path
-            paths[index, node_count:] = -1
-            path_len[index] = node_count
-        return BatchRouteResult(delivered, degraded, delay, distance,
-                                paths, path_len, fallback,
-                                fallback_cause=cause)
-
-    def _count_fallbacks(self, cause: np.ndarray, recomputed: int) -> None:
+    def _count_fallbacks(self, cause: np.ndarray, scalar: int) -> None:
         """``routing.fallbacks{cause=...}`` per flagged packet, and
         ``routing.scalar_fallbacks`` per packet the scalar walk
-        actually recomputed."""
+        routed."""
         if self.metrics is None:
             return
         counts = np.bincount(cause, minlength=len(FALLBACK_CAUSES) + 1)
         for code, name in enumerate(FALLBACK_CAUSES, start=1):
             self._count("routing.fallbacks", int(counts[code]), cause=name)
-        self._count("routing.scalar_fallbacks", recomputed)
+        self._count("routing.scalar_fallbacks", scalar)
 
-
-def batch_route_pairs(router: BatchGeoRouter,
-                      pairs: Sequence[Tuple[int, float, float]],
-                      t: float) -> List[RouteResult]:
-    """Convenience: route ``(src, lat, lon)`` tuples, scalar results."""
-    if not pairs:
-        return []
-    src = [p[0] for p in pairs]
-    lats = [p[1] for p in pairs]
-    lons = [p[2] for p in pairs]
-    return router.route_batch(src, lats, lons, t).results()

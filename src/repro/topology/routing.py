@@ -42,6 +42,16 @@ from .grid import GridTopology
 #: constant fixes -- see tests/test_batch_routing.py).
 RELAY_MAX_HOPS = 512
 
+#: Why a packet left the greedy walk, in cause-code order (code =
+#: index + 1; 0 = never deflected): centred on the grid but not even
+#: nearly covered, preferred edge dead (faults or ``avoid_links``),
+#: preferred neighbour already on the path, or (compiled walk kernel
+#: only) a walk longer than the kernel's first-pass path buffer.
+FALLBACK_CAUSES = ("centered", "dead_link", "seam_revisit",
+                   "path_capacity")
+_CENTERED, _DEAD_LINK, _SEAM_REVISIT = 1, 2, 3
+
+
 @dataclass
 class RouteResult:
     """Outcome of routing one packet through the constellation."""
@@ -88,20 +98,17 @@ class GeospatialRouter:
         """The cached epoch snapshot every per-hop read indexes into."""
         return snapshot_for(self.topology.propagator, t)
 
-    def covers(self, sat: int, dest_lat: float, dest_lon: float,
-               t: float) -> bool:
-        """Line 1-2 of Algorithm 1: does this satellite cover D?"""
-        return self._covers(self._snapshot(t), sat, dest_lat, dest_lon)
-
     def _covers(self, snap: ConstellationSnapshot, sat: int,
                 dest_lat: float, dest_lon: float) -> bool:
+        """Line 1-2 of Algorithm 1: does this satellite cover D?"""
         sub = snap.subpoints
         return (central_angle(sub[sat, 0], sub[sat, 1],
                               dest_lat, dest_lon)
                 <= self.coverage_angle)
 
-    def _hop_offsets(self, sat: int, dest_lat: float, dest_lon: float,
-                     t: float) -> Tuple[float, float]:
+    def _hop_offsets_snap(self, snap: ConstellationSnapshot, sat: int,
+                          dest_reps: Sequence[Tuple[float, float]]
+                          ) -> Tuple[float, float]:
         """Remaining (alpha, gamma) offsets in units of grid hops.
 
         Considers both torus representations of the destination and
@@ -109,13 +116,6 @@ class GeospatialRouter:
         covers the same ground as an ascending satellite of a mirrored
         plane.
         """
-        return self._hop_offsets_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon))
-
-    def _hop_offsets_snap(self, snap: ConstellationSnapshot, sat: int,
-                          dest_reps: Sequence[Tuple[float, float]]
-                          ) -> Tuple[float, float]:
         c = self.topology.constellation
         alpha_s = snap.raan_ecef[sat]
         gamma_s = snap.arg_latitude[sat]
@@ -131,20 +131,14 @@ class GeospatialRouter:
         assert best is not None
         return best
 
-    def next_hop(self, sat: int, dest_lat: float, dest_lon: float,
-                 t: float) -> Optional[int]:
+    def _next_hop_snap(self, snap: ConstellationSnapshot, sat: int,
+                       dest_reps: Sequence[Tuple[float, float]]
+                       ) -> Optional[int]:
         """Lines 3-10 of Algorithm 1: pick the forwarding direction.
 
         Returns the neighbour's flat index, or None when this satellite
         is already the best grid position (deliver here).
         """
-        return self._next_hop_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon))
-
-    def _next_hop_snap(self, snap: ConstellationSnapshot, sat: int,
-                       dest_reps: Sequence[Tuple[float, float]]
-                       ) -> Optional[int]:
         da, dg = self._hop_offsets_snap(snap, sat, dest_reps)
         if abs(da) < 0.5 and abs(dg) < 0.5:
             return None
@@ -171,7 +165,17 @@ class GeospatialRouter:
         Gilbert-Elliott loss burst -- so degraded links can be routed
         around without mutating the shared topology.
         """
+        return self._walk(src_sat, dest_lat, dest_lon, t, avoid_links)[0]
+
+    def _walk(self, src_sat: int, dest_lat: float, dest_lon: float,
+              t: float, avoid_links: Optional[Set[FrozenSet[int]]] = None
+              ) -> Tuple[RouteResult, int]:
+        """:meth:`route`, plus the cause code of the packet's first
+        deflection (an index into :data:`FALLBACK_CAUSES` plus one; 0
+        for a walk that stayed greedy)."""
         topo = self.topology
+        if not 0 <= src_sat < topo.constellation.total_satellites:
+            raise ValueError("source satellite index out of range")
         # One cached snapshot and one destination (alpha, gamma)
         # conversion serve every hop of this packet.
         snap = self._snapshot(t)
@@ -181,9 +185,10 @@ class GeospatialRouter:
         delay = 0.0
         distance = 0.0
         current = src_sat
+        cause = 0
         for _ in range(self.max_hops):
             if self._covers(snap, current, dest_lat, dest_lon):
-                return RouteResult(True, path, delay, distance)
+                return RouteResult(True, path, delay, distance), cause
             preferred = self._next_hop_snap(snap, current, dest_reps)
             if preferred is None:
                 # Closest grid position, but the footprint misses D
@@ -191,25 +196,30 @@ class GeospatialRouter:
                 if self._nearly_covers_snap(snap, current, dest_lat,
                                             dest_lon):
                     return RouteResult(True, path, delay, distance,
-                                       degraded=True)
+                                       degraded=True), cause
+                deflect = _CENTERED
+            elif (not topo.isl_up(current, preferred)
+                  or (avoid_links
+                      and frozenset((current, preferred)) in avoid_links)):
+                deflect = _DEAD_LINK
+            elif preferred in visited:
+                deflect = _SEAM_REVISIT
+            else:
+                deflect = 0
+            if deflect:
+                cause = cause or deflect
+                # Every candidate is live, unvisited and not avoided.
                 preferred = self._best_live_neighbor_snap(
                     snap, current, dest_reps, visited, avoid_links)
-            if (preferred is None or preferred in visited
-                    or not topo.isl_up(current, preferred)
-                    or (avoid_links
-                        and frozenset((current, preferred))
-                        in avoid_links)):
-                preferred = self._best_live_neighbor_snap(
-                    snap, current, dest_reps, visited, avoid_links)
-            if preferred is None:
-                return RouteResult(False, path, delay, distance)
+                if preferred is None:
+                    return RouteResult(False, path, delay, distance), cause
             hop_km = self._hop_km(snap, current, preferred)
             delay += hop_km / SPEED_OF_LIGHT_KM_S
             distance += hop_km
             current = preferred
             path.append(current)
             visited.add(current)
-        return RouteResult(False, path, delay, distance)
+        return RouteResult(False, path, delay, distance), cause
 
     def _hop_km(self, snap: ConstellationSnapshot, a: int, b: int) -> float:
         """Length of the a--b ISL at this epoch, memoised per snapshot."""
@@ -227,25 +237,12 @@ class GeospatialRouter:
             self._edge_km[key] = d
         return d
 
-    def _nearly_covers(self, sat: int, dest_lat: float, dest_lon: float,
-                       t: float) -> bool:
-        return self._nearly_covers_snap(self._snapshot(t), sat,
-                                        dest_lat, dest_lon)
-
     def _nearly_covers_snap(self, snap: ConstellationSnapshot, sat: int,
                             dest_lat: float, dest_lon: float) -> bool:
         sub = snap.subpoints
         return (central_angle(sub[sat, 0], sub[sat, 1],
                               dest_lat, dest_lon)
                 <= self.coverage_angle * self.degraded_slack)
-
-    def _best_live_neighbor(self, sat: int, dest_lat: float,
-                            dest_lon: float, t: float,
-                            visited: set) -> Optional[int]:
-        """Greedy deflection: live unvisited neighbour nearest the goal."""
-        return self._best_live_neighbor_snap(
-            self._snapshot(t), sat,
-            self.system.both_representations(dest_lat, dest_lon), visited)
 
     def _best_live_neighbor_snap(self, snap: ConstellationSnapshot,
                                  sat: int,
@@ -254,6 +251,7 @@ class GeospatialRouter:
                                  avoid_links: Optional[
                                      Set[FrozenSet[int]]] = None
                                  ) -> Optional[int]:
+        """Greedy deflection: live unvisited neighbour nearest the goal."""
         best = None
         best_metric = math.inf
         for nbr in self.topology.isl_neighbors(sat):

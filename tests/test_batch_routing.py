@@ -17,8 +17,9 @@ import pytest
 from repro.orbits.constellation import Constellation, iridium, starlink
 from repro.orbits.propagator import make_propagator
 from repro.orbits.snapshot import snapshot_for
+from repro.topology import batch_routing
 from repro.topology._walk_kernel import load_kernel
-from repro.topology.batch_routing import BatchGeoRouter, batch_route_pairs
+from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
 from repro.topology.routing import (
     RELAY_MAX_HOPS,
@@ -48,8 +49,18 @@ CONSTELLATIONS = {
 _KERNEL_AVAILABLE = load_kernel() is not None
 
 #: Both execution paths of the batch plane must match the scalar
-#: reference; the kernel variant only runs where a C compiler exists.
+#: reference: ``False`` routes with ``REPRO_NO_CKERNEL=1`` (the scalar
+#: walk, packet by packet), ``True`` through the compiled kernel, which
+#: only runs where a C compiler exists.
 KERNEL_MODES = ([False, True] if _KERNEL_AVAILABLE else [False])
+
+
+@pytest.fixture
+def use_kernel(request, monkeypatch):
+    """The ``KERNEL_MODES`` leg; ``False`` sets ``REPRO_NO_CKERNEL``."""
+    if not request.param:
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    return request.param
 
 
 def _topology(name):
@@ -103,16 +114,16 @@ def _sweep_wave(constellation, packets, epochs, seed, spacing_s=240.0):
 
 
 class TestBatchScalarEquivalence:
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     @pytest.mark.parametrize("name", sorted(CONSTELLATIONS))
     def test_random_waves_healthy(self, name, use_kernel):
         topo = _topology(name)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 160, seed=7)
         batch = router.route_batch(src, lats, lons, 120.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 120.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_coverage_edge_destinations(self, use_kernel):
         """Destinations nudged across the coverage boundary.
 
@@ -122,7 +133,7 @@ class TestBatchScalarEquivalence:
         delivery, where any screening sloppiness would flip verdicts.
         """
         topo = _topology("starlink")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         theta = router.scalar.coverage_angle
         snap = snapshot_for(topo.propagator, 60.0)
         rng = np.random.default_rng(13)
@@ -143,7 +154,7 @@ class TestBatchScalarEquivalence:
         batch = router.route_batch(src, lats, lons, 60.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 60.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_fault_cocktail(self, seed, use_kernel):
         """Dead satellites + torn ISLs: the deflection path must match."""
@@ -156,15 +167,15 @@ class TestBatchScalarEquivalence:
             a = int(rng.integers(0, topo.constellation.total_satellites))
             for b in topo.isl_neighbors(a)[:2]:
                 topo.fail_isl(a, b)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 120, seed=seed + 50)
         batch = router.route_batch(src, lats, lons, 90.0)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 90.0)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_avoid_links_matches_scalar(self, use_kernel):
         topo = _topology("square")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 40, seed=3)
         avoid = set()
         for sat in (0, 5, 17):
@@ -174,23 +185,6 @@ class TestBatchScalarEquivalence:
                                    avoid_links=avoid)
         assert_bit_equal(batch, router.scalar, src, lats, lons, 30.0,
                          avoid_links=avoid)
-
-    def test_kernel_and_numpy_paths_agree(self):
-        """The two batch implementations are themselves bit-identical."""
-        if not _KERNEL_AVAILABLE:
-            pytest.skip("no C compiler on this host")
-        topo = _topology("starlink")
-        with_k = BatchGeoRouter(topo, use_kernel=True)
-        without = BatchGeoRouter(topo, use_kernel=False)
-        src, lats, lons = _wave(topo.constellation, 300, seed=21)
-        a = with_k.route_batch(src, lats, lons, 300.0)
-        b = without.route_batch(src, lats, lons, 300.0)
-        assert np.array_equal(a.delivered, b.delivered)
-        assert np.array_equal(a.degraded, b.degraded)
-        assert np.array_equal(a.delay_s, b.delay_s)
-        assert np.array_equal(a.distance_km, b.distance_km)
-        assert [a.path(i) for i in range(len(a))] \
-            == [b.path(i) for i in range(len(b))]
 
     def test_path_stretch_identical_through_batch_plane(self):
         """path_stretch computed from batch results == from scalar."""
@@ -220,13 +214,13 @@ class TestBatchScalarEquivalence:
 
 
 class TestBatchRouterMechanics:
-    def test_chunked_equals_single_batch(self):
+    def test_chunked_equals_single_batch(self, monkeypatch):
         topo = _topology("square")
-        small = BatchGeoRouter(topo, chunk_size=32)
-        big = BatchGeoRouter(topo)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 101, seed=9)
-        a = small.route_batch(src, lats, lons, 10.0)
-        b = big.route_batch(src, lats, lons, 10.0)
+        b = router.route_batch(src, lats, lons, 10.0)
+        monkeypatch.setattr(batch_routing, "_CHUNK_SIZE", 32)
+        a = router.route_batch(src, lats, lons, 10.0)
         assert np.array_equal(a.delay_s, b.delay_s)
         assert [a.path(i) for i in range(len(a))] \
             == [b.path(i) for i in range(len(b))]
@@ -281,20 +275,6 @@ class TestBatchRouterMechanics:
         merged = merge_snapshots([snap, run()])
         assert merged["counters"]["routing.batches"] == 4
 
-    def test_batch_route_pairs_convenience(self):
-        topo = _topology("square")
-        router = BatchGeoRouter(topo)
-        src, lats, lons = _wave(topo.constellation, 5, seed=8)
-        pairs = [(int(s), float(la), float(lo))
-                 for s, la, lo in zip(src, lats, lons)]
-        results = batch_route_pairs(router, pairs, 0.0)
-        for result, (s, la, lo) in zip(results, pairs):
-            expected = router.scalar.route(s, la, lo, 0.0)
-            assert result.delivered == expected.delivered
-            assert result.delay_s == expected.delay_s
-            assert result.path == expected.path
-        assert batch_route_pairs(router, [], 0.0) == []
-
     def test_scalar_route_delegates(self):
         topo = _topology("square")
         router = BatchGeoRouter(topo)
@@ -315,6 +295,17 @@ class TestBatchRouterMechanics:
         router = BatchGeoRouter(topo)
         with pytest.raises(ValueError):
             router.route_batch([10_000], [0.0], [0.0], 0.0)
+
+    @pytest.mark.parametrize("src", [-1, 144])
+    def test_scalar_route_rejects_out_of_range_source(self, src):
+        """A negative source used to wrap around to satellite
+        ``N + src`` (and ``src >= N`` raised a bare IndexError)."""
+        topo = _topology("square")
+        router = BatchGeoRouter(topo)
+        with pytest.raises(ValueError, match="out of range"):
+            router.scalar.route(src, 0.1, 0.2, 0.0)
+        with pytest.raises(ValueError, match="out of range"):
+            router.route(src, 0.1, 0.2, 0.0)
 
 
 class TestDijkstraBatchAndInvalidation:
@@ -362,39 +353,39 @@ class TestDijkstraBatchAndInvalidation:
 class TestEpochSweepEquivalence:
     """route_sweep vs the per-epoch scalar walk, bit for bit."""
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     @pytest.mark.parametrize("name", ["starlink", "iridium", "tall"])
     def test_sweep_matches_per_epoch_scalar(self, name, use_kernel):
         topo = _topology(name)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons, ts = _sweep_wave(topo.constellation, 96,
                                           epochs=6, seed=31)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
     def test_sweep_under_no_ckernel_env(self, monkeypatch):
-        """REPRO_NO_CKERNEL=1 forces the numpy walk; same answer."""
+        """REPRO_NO_CKERNEL=1 forces the scalar walk; same answer."""
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
         topo = _topology("square")
         router = BatchGeoRouter(topo)
-        assert router._kernel_handle() is None
+        assert load_kernel() is None
         src, lats, lons, ts = _sweep_wave(topo.constellation, 64,
                                           epochs=5, seed=32)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_sweep_shuffled_epochs(self, use_kernel):
         """Arbitrary (unsorted, repeated) epoch order scatters back."""
         topo = _topology("wide")
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _wave(topo.constellation, 80, seed=33)
         rng = np.random.default_rng(33)
         ts = rng.choice([0.0, 75.0, 150.0, 900.0], size=80)
         swept = router.route_sweep(src, lats, lons, ts)
         assert_sweep_bit_equal(swept, router.scalar, src, lats, lons, ts)
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_sweep_with_faults(self, use_kernel):
         """Deflection fallbacks route at the right epoch too."""
         topo = _topology("starlink")
@@ -402,7 +393,7 @@ class TestEpochSweepEquivalence:
         for sat in rng.choice(topo.constellation.total_satellites, 30,
                               replace=False):
             topo.fail_satellite(int(sat))
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons, ts = _sweep_wave(topo.constellation, 60,
                                           epochs=4, seed=35)
         swept = router.route_sweep(src, lats, lons, ts)
@@ -531,11 +522,10 @@ class TestRelayHopBudgetParity:
         narrow = GeospatialRouter(topo, max_hops=256)
         assert not narrow.route(0, lat, lon, 0.0).delivered
 
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_batch_plane_honors_relay_budget(self, use_kernel):
         topo, lat, lon, expected = self._long_walk_case()
-        router = BatchGeoRouter(topo, max_hops=RELAY_MAX_HOPS,
-                                use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=RELAY_MAX_HOPS)
         batch = router.route_batch([0], [lat], [lon], 0.0)
         assert bool(batch.delivered[0])
         assert int(batch.hops[0]) == expected.hops > 256

@@ -17,7 +17,9 @@ import pytest
 from repro.orbits import (
     clear_snapshot_cache,
     iridium,
+    kuiper,
     make_propagator,
+    oneweb,
     snapshot_for,
     starlink,
 )
@@ -236,8 +238,11 @@ class TestCoverageEquivalence:
             assert list(map(int, got)) == list(map(int, want))
 
     @pytest.mark.parametrize("kind", PROPAGATOR_KINDS)
-    def test_snapshot_arrays_bit_match_scalar_state(self, kind):
-        c = starlink()
+    @pytest.mark.parametrize("factory", [starlink, kuiper, oneweb, iridium])
+    def test_snapshot_arrays_bit_match_scalar_state(self, factory, kind):
+        """The arrays the scalar walk reads equal the propagator states
+        the ``_ScalarRouter`` oracle replays, on every Table-1 shell."""
+        c = factory()
         prop = make_propagator(c, kind)
         rng = np.random.default_rng(3)
         for t in rng.uniform(0, 7000, 10):
@@ -349,11 +354,13 @@ class TestRouterEquivalence:
             sat = int(rng.integers(0, c.total_satellites))
             lat = float(np.radians(rng.uniform(-55, 55)))
             lon = float(np.radians(rng.uniform(-180, 180)))
-            assert (fast.covers(sat, lat, lon, t)
+            snap = snapshot_for(prop, t)
+            reps = fast.system.both_representations(lat, lon)
+            assert (fast._covers(snap, sat, lat, lon)
                     == slow.covers(sat, lat, lon, t))
-            assert (fast.next_hop(sat, lat, lon, t)
+            assert (fast._next_hop_snap(snap, sat, reps)
                     == slow.next_hop(sat, lat, lon, t))
-            fa, fg = fast._hop_offsets(sat, lat, lon, t)
+            fa, fg = fast._hop_offsets_snap(snap, sat, reps)
             sa, sg = slow._hop_offsets(sat, lat, lon, t)
             assert fa == sa and fg == sg
 

@@ -3,14 +3,16 @@
 The kernel routes every packet itself -- seam revisits, dead links,
 centred-but-uncovered packets, caller-supplied ``avoid_links`` and
 walks longer than its first-pass path buffer -- so on the kernel path
-``GeospatialRouter.route`` is never called.  These tests replace it
-with a function that raises while the kernel routes, and compare the
-kernel, the NumPy medium (which still recomputes its flagged packets
-with the scalar walk) and the unpatched scalar reference bit for bit:
-delivered, degraded, delay, distance and path.
+the scalar walk is never called.  These tests replace it with a
+function that raises while the kernel routes, and compare the kernel,
+the no-kernel batch (``REPRO_NO_CKERNEL=1``: every packet through the
+scalar walk, which reports its own first deflection cause) and the
+unpatched scalar reference bit for bit: delivered, degraded, delay,
+distance and path, plus ``fallback`` and ``fallback_cause``.
 """
 
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -23,21 +25,32 @@ from repro.orbits import make_propagator, oneweb, starlink
 from repro.orbits.constellation import Constellation
 from repro.orbits.snapshot import snapshot_for
 from repro.topology._walk_kernel import load_kernel
-from repro.topology.batch_routing import FALLBACK_CAUSES, BatchGeoRouter
+from repro.topology.batch_routing import BatchGeoRouter
 from repro.topology.grid import GridTopology
-from repro.topology.routing import GeospatialRouter
+from repro.topology.routing import FALLBACK_CAUSES, GeospatialRouter
 from tests.walker_strategies import faulted_topologies
 
 _KERNEL_AVAILABLE = load_kernel() is not None
+#: ``False``: route without the kernel (``REPRO_NO_CKERNEL=1``, the
+#: scalar walk); ``True``: the compiled kernel, where one exists.
 KERNEL_MODES = [False, True] if _KERNEL_AVAILABLE else [False]
 needs_kernel = pytest.mark.skipif(not _KERNEL_AVAILABLE,
                                   reason="no compiled walk kernel")
 
-#: The real scalar walk, kept so references can be computed while
-#: ``GeospatialRouter.route`` is patched to raise.
-_SCALAR_ROUTE = GeospatialRouter.route
-
 CAUSE_CODE = {name: code for code, name in enumerate(FALLBACK_CAUSES, 1)}
+
+
+@pytest.fixture
+def use_kernel(request, monkeypatch):
+    """The ``KERNEL_MODES`` leg; ``False`` sets ``REPRO_NO_CKERNEL``."""
+    if not request.param:
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    return request.param
+
+
+def _no_kernel():
+    """Route without the compiled kernel inside this block."""
+    return mock.patch.dict(os.environ, {"REPRO_NO_CKERNEL": "1"})
 
 
 def _no_scalar(*_args, **_kwargs):
@@ -45,8 +58,8 @@ def _no_scalar(*_args, **_kwargs):
 
 
 def _reference(scalar, src, lats, lons, t, avoid_links=None):
-    return [_SCALAR_ROUTE(scalar, int(s), float(la), float(lo), t,
-                          avoid_links=avoid_links)
+    return [scalar.route(int(s), float(la), float(lo), t,
+                         avoid_links=avoid_links)
             for s, la, lo in zip(src, lats, lons)]
 
 
@@ -62,12 +75,21 @@ def _assert_matches(batch, expected):
 
 def _route(router, src, lats, lons, t, avoid_links=None):
     """``route_batch``; on the kernel the scalar walk must stay unused."""
-    if router._kernel_handle() is None:
+    if load_kernel() is None:
         return router.route_batch(src, lats, lons, t,
                                   avoid_links=avoid_links)
-    with mock.patch.object(GeospatialRouter, "route", _no_scalar):
+    with mock.patch.object(GeospatialRouter, "_walk", _no_scalar):
         return router.route_batch(src, lats, lons, t,
                                   avoid_links=avoid_links)
+
+
+def _assert_same_flags(kernel, no_kernel):
+    """Both media flag the same packets with the same first cause, but
+    for ``path_capacity``, which only the kernel raises."""
+    capacity = kernel.fallback_cause == CAUSE_CODE["path_capacity"]
+    assert np.array_equal(kernel.fallback, no_kernel.fallback | capacity)
+    assert np.array_equal(kernel.fallback_cause[~capacity],
+                          no_kernel.fallback_cause[~capacity])
 
 
 def _band_wave(constellation, packets, rng):
@@ -136,20 +158,24 @@ def deflection_cases(draw):
 class TestDifferential:
     @given(deflection_cases())
     @settings(max_examples=120, deadline=None, derandomize=True)
-    def test_kernel_numpy_scalar_agree(self, case):
+    def test_kernel_no_kernel_scalar_agree(self, case):
         topology, t, src, lats, lons, avoid, max_hops = case
         scalar = GeospatialRouter(topology, max_hops=max_hops)
+        router = BatchGeoRouter(topology, max_hops=max_hops)
         for avoid_links in (None, avoid):
             expected = _reference(scalar, src, lats, lons, t,
                                   avoid_links)
-            for use_kernel in KERNEL_MODES:
-                router = BatchGeoRouter(topology, max_hops=max_hops,
-                                        use_kernel=use_kernel)
+            with _no_kernel():
+                no_kernel = router.route_batch(src, lats, lons, t,
+                                               avoid_links=avoid_links)
+            _assert_matches(no_kernel, expected)
+            if _KERNEL_AVAILABLE:
                 batch = _route(router, src, lats, lons, t, avoid_links)
                 _assert_matches(batch, expected)
+                _assert_same_flags(batch, no_kernel)
 
 
-@pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+@pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
 class TestRegressions:
     def test_oneweb_long_walks(self, use_kernel):
         """Walks over 64 nodes outgrow the kernel's first-pass buffer
@@ -157,12 +183,11 @@ class TestRegressions:
         c = oneweb()
         topo = GridTopology(make_propagator(c, "ideal"), [])
         src, lats, lons = _band_wave(c, 2000, np.random.default_rng(3))
-        kernel = BatchGeoRouter(topo, use_kernel=_KERNEL_AVAILABLE)
-        full = _route(kernel, src, lats, lons, 600.0)
+        router = BatchGeoRouter(topo)
+        full = _route(router, src, lats, lons, 600.0)
         long_rows = np.nonzero(full.path_len > 64)[0]
         assert long_rows.size >= 20
         sample = np.unique(np.concatenate([long_rows, np.arange(100)]))
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
         batch = _route(router, src[sample], lats[sample], lons[sample],
                        600.0)
         _assert_matches(batch, _reference(router.scalar, src[sample],
@@ -176,7 +201,7 @@ class TestRegressions:
         src, lats, lons = _band_wave(topo.constellation, 10_000, rng)
         t = float(rng.uniform(0.0, topo.constellation.period_s))
         rows = np.array([3443, 4663, 7768, 0, 1, 2])
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         batch = _route(router, src[rows], lats[rows], lons[rows], t)
         assert list(batch.path_len[:3]) == [257, 257, 257]
         assert not batch.delivered[:3].any()
@@ -192,7 +217,7 @@ class TestRegressions:
         src, lats, lons = _band_wave(topo.constellation, 10_000, rng)
         t = float(rng.uniform(0.0, topo.constellation.period_s))
         rows = np.arange(1000)
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         batch = _route(router, src[rows], lats[rows], lons[rows], t)
         snap = snapshot_for(topo.propagator, t)
         scalar = router.scalar
@@ -220,7 +245,7 @@ class TestRegressions:
         topo = GridTopology(make_propagator(c, "ideal"), [])
         topo.fail_satellite(100)
         sub_lat, sub_lon = snapshot_for(topo.propagator, 0.0).subpoints[100]
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         lats = np.array([-sub_lat])
         lons = np.array([sub_lon + math.pi])
         batch = _route(router, [100], lats, lons, 0.0)
@@ -234,18 +259,39 @@ class TestRegressions:
     def test_small_hop_budget(self, use_kernel):
         topo, rng = _faulted_starlink()
         src, lats, lons = _band_wave(topo.constellation, 300, rng)
-        router = BatchGeoRouter(topo, max_hops=5, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=5)
         batch = _route(router, src, lats, lons, 1200.0)
         exhausted = batch.path_len == 6
         assert exhausted.any() and not batch.delivered[exhausted].any()
         _assert_matches(batch, _reference(router.scalar, src, lats, lons,
                                           1200.0))
 
+    def test_dead_link_cause_precedes_seam_revisit(self, use_kernel):
+        """On a pi-spread shell the greedy walk from 10 crosses five
+        planes to 100, whose preferred neighbour across the seam is 10
+        again: a revisit over an edge the path never used.  Avoiding
+        that edge makes it dead as well, and ``dead_link`` wins."""
+        c = Constellation(name="tall", num_planes=6, sats_per_plane=18,
+                          altitude_km=780.0, inclination_deg=86.4,
+                          raan_spread=math.pi)
+        topo = GridTopology(make_propagator(c, "ideal"), [])
+        router = BatchGeoRouter(topo)
+        lats = np.array([-0.3724332910742927])
+        lons = np.array([-0.06955827024155159])
+        greedy = _route(router, [10], lats, lons, 0.0)
+        assert greedy.path(0)[:6] == [10, 28, 46, 64, 82, 100]
+        assert greedy.fallback_cause[0] == CAUSE_CODE["seam_revisit"]
+        avoid = {frozenset((100, 10))}
+        batch = _route(router, [10], lats, lons, 0.0, avoid_links=avoid)
+        assert batch.fallback_cause[0] == CAUSE_CODE["dead_link"]
+        _assert_matches(batch, _reference(router.scalar, [10], lats, lons,
+                                          0.0, avoid_links=avoid))
+
     def test_avoid_links_flags_only_walks_that_leave_greedy(
             self, use_kernel):
         c = starlink()
         topo = GridTopology(make_propagator(c, "ideal"), [])
-        router = BatchGeoRouter(topo, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo)
         src, lats, lons = _band_wave(c, 200, np.random.default_rng(8))
         base = router.route_batch(src, lats, lons, 60.0)
         assert not base.fallback.any()
@@ -273,7 +319,7 @@ class TestRegressions:
         assert not again.fallback.any()
 
 
-@pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+@pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
 class TestExactTies:
     """Decisions that tie in real arithmetic, where only the scalar's
     own floating-point representations of the destination give the
@@ -290,7 +336,7 @@ class TestExactTies:
                           inclination_deg=53.0 + 2.0 * planes,
                           min_elevation_deg=30.0)
         topo = GridTopology(make_propagator(c, "ideal"), [])
-        router = BatchGeoRouter(topo, max_hops=20, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=20)
         system = router.scalar.system
         for t in (0.0, 300.0):
             snap = snapshot_for(topo.propagator, t)
@@ -317,7 +363,7 @@ class TestExactTies:
                           phasing_factor=0,
                           min_elevation_deg=36.30312493480246)
         topo = GridTopology(make_propagator(c, "ideal"), [])
-        router = BatchGeoRouter(topo, max_hops=5, use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=5)
         lats = np.array([0.47269416707017636])
         lons = np.array([1.394433158327772])
         batch = _route(router, [0], lats, lons, 6480.0)
@@ -339,8 +385,7 @@ class TestExactTies:
                           inclination_deg=30.0, phasing_factor=0,
                           min_elevation_deg=0.0)
         topo = GridTopology(make_propagator(c, "ideal"), [])
-        router = BatchGeoRouter(topo, max_hops=max_hops,
-                                use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, max_hops=max_hops)
         lats, lons = np.array([lat]), np.array([0.0])
         batch = _route(router, [src], lats, lons, 0.0)
         path = batch.path(0)
@@ -351,14 +396,13 @@ class TestExactTies:
 
 
 class TestFallbackCounters:
-    @pytest.mark.parametrize("use_kernel", KERNEL_MODES)
+    @pytest.mark.parametrize("use_kernel", KERNEL_MODES, indirect=True)
     def test_causes_sum_to_flags(self, use_kernel):
         c = oneweb()
         topo = GridTopology(make_propagator(c, "ideal"), [])
         topo.fail_satellite(7)
         metrics = MetricsRegistry()
-        router = BatchGeoRouter(topo, metrics=metrics,
-                                use_kernel=use_kernel)
+        router = BatchGeoRouter(topo, metrics=metrics)
         src, lats, lons = _band_wave(c, 600, np.random.default_rng(4))
         batch = _route(router, src, lats, lons, 900.0)
         by_cause = {name: int(metrics.counter_value("routing.fallbacks",
@@ -369,22 +413,28 @@ class TestFallbackCounters:
         assert sum(by_cause.values()) == flagged
         assert by_cause["seam_revisit"] > 0
         assert np.array_equal(batch.fallback, batch.fallback_cause > 0)
-        recomputed = metrics.counter_value("routing.scalar_fallbacks")
-        assert recomputed == (0 if use_kernel else flagged)
+        # The scalar walk routes every packet without the kernel and
+        # none with it.
+        routed = metrics.counter_value("routing.scalar_fallbacks")
+        assert routed == (0 if use_kernel else len(src))
+        with _no_kernel():
+            no_kernel = BatchGeoRouter(topo).route_batch(src, lats, lons,
+                                                         900.0)
+        _assert_same_flags(batch, no_kernel)
 
     @needs_kernel
     def test_path_capacity_cause(self):
         """Walks that reach the kernel's 64-node first-pass buffer
         before leaving the greedy route are flagged path_capacity (the
-        NumPy medium grows its buffer instead) and still match the
-        scalar walk."""
+        scalar walk has no such buffer) and still match the scalar
+        walk."""
         c = Constellation(name="long-rings", num_planes=4,
                           sats_per_plane=200, altitude_km=550.0,
                           inclination_deg=53.0)
         topo = GridTopology(make_propagator(c, "ideal"), [])
         src, lats, lons = _band_wave(c, 300, np.random.default_rng(5))
         metrics = MetricsRegistry()
-        router = BatchGeoRouter(topo, metrics=metrics, use_kernel=True)
+        router = BatchGeoRouter(topo, metrics=metrics)
         batch = _route(router, src, lats, lons, 0.0)
         capacity = batch.fallback_cause == CAUSE_CODE["path_capacity"]
         assert capacity.sum() >= 10
@@ -392,9 +442,9 @@ class TestFallbackCounters:
         assert metrics.counter_value("routing.fallbacks",
                                      cause="path_capacity") \
             == capacity.sum()
-        numpy_batch = BatchGeoRouter(topo, use_kernel=False).route_batch(
-            src, lats, lons, 0.0)
-        assert np.array_equal(batch.fallback,
-                              numpy_batch.fallback | capacity)
+        with _no_kernel():
+            no_kernel = BatchGeoRouter(topo).route_batch(src, lats, lons,
+                                                         0.0)
+        _assert_same_flags(batch, no_kernel)
         _assert_matches(batch, _reference(router.scalar, src, lats, lons,
                                           0.0))
